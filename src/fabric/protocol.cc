@@ -5,6 +5,34 @@
 
 namespace bgpbh::fabric {
 
+void make_sub_update(const routing::FeedUpdate& fu, stream::SubKind kind,
+                     std::uint32_t prefix_index, std::uint64_t ingest_ns,
+                     routing::FeedUpdate& sub) {
+  sub.platform = fu.platform;
+  sub.update.time = fu.update.time;
+  sub.update.peer_ip = fu.update.peer_ip;
+  sub.update.peer_asn = fu.update.peer_asn;
+  sub.update.collector_id = fu.update.collector_id;
+  sub.ingest_ns = ingest_ns;
+  const bgp::UpdateBody& body = fu.update.body;
+  bgp::UpdateBody& out = sub.update.body;
+  if (kind == stream::SubKind::kWithdraw) {
+    out.withdrawn.assign(1, body.withdrawn[prefix_index]);
+    out.announced.clear();
+    out.as_path = bgp::AsPath();
+    out.communities.clear();
+    out.next_hop.reset();
+    out.origin = bgp::Origin::kIgp;
+  } else {
+    out.withdrawn.clear();
+    out.announced.assign(1, body.announced[prefix_index]);
+    out.as_path = body.as_path;
+    out.communities = body.communities;
+    out.next_hop = body.next_hop;
+    out.origin = body.origin;
+  }
+}
+
 void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out) {
   out.u8(static_cast<std::uint8_t>(fu.platform));
   out.u64(static_cast<std::uint64_t>(fu.update.time));
@@ -17,12 +45,10 @@ void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out) {
   bgp::encode_update_body(fu.update.body, body);
   out.u32(static_cast<std::uint32_t>(body.size()));
   out.bytes(body.data());
-  // v2 trailer; v1 lanes chop these bytes off at send time.
   out.u64(fu.ingest_ns);
 }
 
-std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in,
-                                                     std::uint8_t version) {
+std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in) {
   routing::FeedUpdate fu;
   std::uint8_t platform = in.u8();
   if (platform >= routing::kNumPlatforms) return std::nullopt;
@@ -39,10 +65,8 @@ std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in,
   auto decoded = bgp::decode_update_body(body);
   if (!decoded || !body.ok() || !body.at_end()) return std::nullopt;
   fu.update.body = std::move(*decoded);
-  if (version >= 2) {
-    fu.ingest_ns = in.u64();
-    if (!in.ok()) return std::nullopt;
-  }
+  fu.ingest_ns = in.u64();
+  if (!in.ok()) return std::nullopt;
   return fu;
 }
 

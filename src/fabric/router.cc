@@ -6,7 +6,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "bgp/rib.h"
 #include "storage/record_codec.h"
 #include "storage/wire.h"
 #include "stream/shard_router.h"
@@ -88,26 +87,90 @@ bool parse_append_ack(std::span<const std::uint8_t> body,
   return r.ok();
 }
 
-// Sub-updates are staged and replay-buffered in v2 form (trailing u64
-// ingest stamp); a lane that negotiated v1 chops the trailer off at
-// send time.
-std::span<const std::uint8_t> sub_for_version(
-    const std::vector<std::uint8_t>& sub, std::uint8_t version) {
-  std::span<const std::uint8_t> bytes(sub);
-  if (version < 2) bytes = bytes.first(bytes.size() - kSubUpdateIngestTrailerBytes);
-  return bytes;
+// Outcome of the HELLO exchange on a freshly dialed connection.
+struct HelloReply {
+  enum class Status { kAccepted, kRefused, kDropped };
+  Status status = Status::kDropped;
+  std::uint64_t accepted = 0;  // kAccepted: the lane's resume index
+  std::string error;           // kRefused: the server's reason
+};
+
+// Sends HELLO for (slot, producer) and reads the reply.  An ERROR
+// reply (no common version, producer out of range, ...) is a refusal
+// that retrying cannot fix, kept with the server's own text; a lost
+// connection or torn reply is kDropped, which callers retry.
+HelloReply hello(TcpConn& conn, std::uint32_t slot, std::uint32_t producer) {
+  HelloReply reply;
+  net::BufWriter w;
+  w.u8(kFabricVersion);
+  w.u8(kFabricVersion);
+  w.u32(slot);
+  w.u32(producer);
+  if (!conn.send_frame(FrameType::kHello, w.data())) return reply;
+  auto ack = conn.recv_frame();
+  if (!ack) return reply;
+  if (ack->type == FrameType::kError) {
+    reply.status = HelloReply::Status::kRefused;
+    reply.error.assign(ack->body.begin(), ack->body.end());
+    return reply;
+  }
+  if (ack->type != FrameType::kHelloAck) return reply;
+  net::BufReader r(ack->body);
+  const std::uint8_t version = r.u8();
+  reply.accepted = r.u64();
+  if (!r.ok()) return reply;
+  if (version != kFabricVersion) {
+    reply.status = HelloReply::Status::kRefused;
+    reply.error = "acked unsupported fabric version " + std::to_string(version);
+    return reply;
+  }
+  reply.status = HelloReply::Status::kAccepted;
+  return reply;
 }
 
 }  // namespace
 
-void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
+void FabricRouter::prune_replay(Lane& ln, std::uint64_t durable) {
+  while (ln.replay_base < durable && !ln.replay.empty()) {
+    ln.replay.pop_front();
+    ++ln.replay_base;
+  }
+}
+
+net::BufWriter FabricRouter::append_body(const Lane& ln, std::size_t slot,
+                                         std::size_t p, std::uint64_t trace_id,
+                                         std::uint64_t from,
+                                         std::size_t count) {
+  net::BufWriter w;
+  w.u32(static_cast<std::uint32_t>(slot));
+  w.u32(static_cast<std::uint32_t>(p));
+  w.u64(trace_id);
+  w.u64(util::wall_clock_ns());
+  w.u64(from);
+  w.u32(static_cast<std::uint32_t>(count));
+  const std::size_t first = static_cast<std::size_t>(from - ln.replay_base);
+  for (std::size_t i = 0; i < count; ++i) w.bytes(ln.replay[first + i]);
+  return w;
+}
+
+bool FabricRouter::read_ack(Lane& ln) {
   auto frame = ln.conn.recv_frame();
   std::uint64_t accepted = 0, durable = 0;
   if (!frame || frame->type != FrameType::kAppendAck ||
       !parse_append_ack(frame->body, accepted, durable)) {
+    ln.connected = false;
+    return false;
+  }
+  --ln.unacked;
+  inflight_total_.fetch_sub(1, std::memory_order_relaxed);
+  prune_replay(ln, durable);
+  return true;
+}
+
+void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
+  if (!read_ack(ln)) {
     // Connection lost mid-window: reconnect resends the whole
     // un-durable suffix and drains it, leaving unacked == 0.
-    ln.connected = false;
     ensure_connected(ln, slot, p);
     return;
   }
@@ -129,15 +192,9 @@ void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
                                      trace_id);
     }
   }
-  --ln.unacked;
-  inflight_total_.fetch_sub(1, std::memory_order_relaxed);
   if (inflight_) {
     inflight_->set(
         static_cast<double>(inflight_total_.load(std::memory_order_relaxed)));
-  }
-  while (ln.replay_base < durable && !ln.replay.empty()) {
-    ln.replay.pop_front();
-    ++ln.replay_base;
   }
 }
 
@@ -152,20 +209,17 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   auto conn = TcpConn::dial(ep.host, ep.port);
   if (!conn) return false;
   ln.conn = std::move(*conn);
-  net::BufWriter hello;
-  hello.u8(kFabricVersionMin);
-  hello.u8(kFabricVersionMax);
-  hello.u32(static_cast<std::uint32_t>(slot));
-  hello.u32(static_cast<std::uint32_t>(p));
-  if (!ln.conn.send_frame(FrameType::kHello, hello.data())) return false;
-  auto ack = ln.conn.recv_frame();
-  if (!ack || ack->type != FrameType::kHelloAck) return false;
-  net::BufReader r(ack->body);
-  std::uint8_t version = r.u8();
-  std::uint64_t accepted = r.u64();
-  if (!r.ok() || version < kFabricVersionMin || version > kFabricVersionMax) {
-    return false;
+  const HelloReply reply = hello(ln.conn, static_cast<std::uint32_t>(slot),
+                                 static_cast<std::uint32_t>(p));
+  if (reply.status == HelloReply::Status::kDropped) return false;
+  if (reply.status == HelloReply::Status::kRefused) {
+    ln.conn.close();
+    throw std::runtime_error("fabric: shard server " + describe_endpoint(ep) +
+                             " refused slot " + std::to_string(slot) +
+                             " lane " + std::to_string(p) + ": " +
+                             reply.error);
   }
+  const std::uint64_t accepted = reply.accepted;
   // Integrity, not connectivity: the server claiming fewer sub-updates
   // than it once reported durable (or more than we ever sent) means a
   // lost or foreign slot directory — retrying cannot fix it.
@@ -178,7 +232,6 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
         std::to_string(ln.replay_base) + ", " + std::to_string(ln.sent) + "]");
   }
   ln.connected = true;
-  ln.version = version;
   // Resend the suffix the (restarted) server has not accepted yet,
   // honoring the in-flight window, and drain every ack so the lane
   // comes back with a clean slate.
@@ -186,20 +239,9 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   while (idx < ln.sent) {
     std::size_t count = static_cast<std::size_t>(
         std::min<std::uint64_t>(config_.batch_subs, ln.sent - idx));
-    net::BufWriter w;
-    w.u32(static_cast<std::uint32_t>(slot));
-    w.u32(static_cast<std::uint32_t>(p));
-    if (version >= 2) {
-      w.u64(next_trace_id_.fetch_add(1, std::memory_order_relaxed));
-      w.u64(util::wall_clock_ns());
-    }
-    w.u64(idx);
-    w.u32(static_cast<std::uint32_t>(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      w.bytes(sub_for_version(
-          ln.replay[static_cast<std::size_t>(idx - ln.replay_base) + i],
-          version));
-    }
+    net::BufWriter w = append_body(
+        ln, slot, p, next_trace_id_.fetch_add(1, std::memory_order_relaxed),
+        idx, count);
     if (!ln.conn.send_frame(FrameType::kAppend, w.data())) {
       ln.connected = false;
       return false;
@@ -212,35 +254,11 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
     inflight_total_.fetch_add(1, std::memory_order_relaxed);
     idx += count;
     while (ln.unacked >= config_.max_inflight) {
-      auto frame = ln.conn.recv_frame();
-      std::uint64_t a = 0, d = 0;
-      if (!frame || frame->type != FrameType::kAppendAck ||
-          !parse_append_ack(frame->body, a, d)) {
-        ln.connected = false;
-        return false;
-      }
-      --ln.unacked;
-      inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-      while (ln.replay_base < d && !ln.replay.empty()) {
-        ln.replay.pop_front();
-        ++ln.replay_base;
-      }
+      if (!read_ack(ln)) return false;
     }
   }
   while (ln.unacked > 0) {
-    auto frame = ln.conn.recv_frame();
-    std::uint64_t a = 0, d = 0;
-    if (!frame || frame->type != FrameType::kAppendAck ||
-        !parse_append_ack(frame->body, a, d)) {
-      ln.connected = false;
-      return false;
-    }
-    --ln.unacked;
-    inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-    while (ln.replay_base < d && !ln.replay.empty()) {
-      ln.replay.pop_front();
-      ++ln.replay_base;
-    }
+    if (!read_ack(ln)) return false;
   }
   return true;
 }
@@ -269,22 +287,15 @@ void FabricRouter::send_batch(Lane& ln, std::size_t slot, std::size_t p) {
   ensure_connected(ln, slot, p);
   const std::uint64_t trace_id =
       next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  net::BufWriter w;
-  w.u32(static_cast<std::uint32_t>(slot));
-  w.u32(static_cast<std::uint32_t>(p));
-  if (ln.version >= 2) {
-    w.u64(trace_id);
-    w.u64(util::wall_clock_ns());
-  }
-  w.u64(ln.sent);
-  w.u32(static_cast<std::uint32_t>(ln.pending.size()));
-  for (const auto& sub : ln.pending) w.bytes(sub_for_version(sub, ln.version));
   // Into the replay buffer BEFORE the send: if the send fails the
   // reconnect path resends straight from replay, so the batch can
   // never be dropped between "staged" and "on the wire".
+  const std::uint64_t base = ln.sent;
+  const std::size_t count = ln.pending.size();
   for (auto& sub : ln.pending) ln.replay.push_back(std::move(sub));
-  ln.sent += ln.pending.size();
+  ln.sent += count;
   ln.pending.clear();
+  net::BufWriter w = append_body(ln, slot, p, trace_id, base, count);
   if (batches_) batches_->add();
   if (bytes_) bytes_->add(w.size() + storage::wire::kFrameOverheadBytes + 1);
   if (!ln.conn.send_frame(FrameType::kAppend, w.data())) {
@@ -319,38 +330,18 @@ void FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
 bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   if (closed_.load(std::memory_order_acquire)) return false;
   updates_pushed_.fetch_add(1, std::memory_order_relaxed);
-  const bgp::UpdateBody& body = update.update.body;
-  if (body.withdrawn.empty() && body.announced.empty()) return true;
-  bgp::PeerKey peer{update.update.peer_ip, update.update.peer_asn};
-  // Mirror stream::ShardRouter's split exactly: withdrawals first, and
-  // a withdrawal sub-update carries no route attributes.
+  // The in-process ShardRouter's split, slot for shard; only the wire
+  // form of each sub-update (make_sub_update) is the fabric's own.
   routing::FeedUpdate sub;
-  sub.platform = update.platform;
-  sub.update.time = update.update.time;
-  sub.update.peer_ip = update.update.peer_ip;
-  sub.update.peer_asn = update.update.peer_asn;
-  sub.update.collector_id = update.update.collector_id;
-  // Producer-edge ingest stamp, exactly once per update: a pre-stamped
-  // update keeps its origin so end-to-end latency spans processes.
-  sub.ingest_ns =
-      update.ingest_ns != 0 ? update.ingest_ns : util::wall_clock_ns();
-  for (const auto& prefix : body.withdrawn) {
-    sub.update.body.withdrawn.assign(1, prefix);
-    std::size_t slot = stream::shard_for(peer, prefix, num_slots_);
-    std::shared_lock lock(*slot_mu_[slot]);
-    stage_sub(p, sub, slot);
-  }
-  sub.update.body.withdrawn.clear();
-  sub.update.body.as_path = body.as_path;
-  sub.update.body.communities = body.communities;
-  sub.update.body.next_hop = body.next_hop;
-  sub.update.body.origin = body.origin;
-  for (const auto& prefix : body.announced) {
-    sub.update.body.announced.assign(1, prefix);
-    std::size_t slot = stream::shard_for(peer, prefix, num_slots_);
-    std::shared_lock lock(*slot_mu_[slot]);
-    stage_sub(p, sub, slot);
-  }
+  std::uint64_t ingest_ns = 0;
+  stream::split_update(
+      update, num_slots_,
+      [&](std::uint64_t stamp, std::size_t) { ingest_ns = stamp; },
+      [&](std::size_t slot, stream::SubKind kind, std::uint32_t index) {
+        make_sub_update(update, kind, index, ingest_ns, sub);
+        std::shared_lock lock(*slot_mu_[slot]);
+        stage_sub(p, sub, slot);
+      });
   return true;
 }
 
@@ -371,33 +362,19 @@ void FabricRouter::drain_slot_locked(std::size_t slot) {
 
 std::optional<TcpConn::FramePayload> FabricRouter::control_rpc(
     std::size_t endpoint_index, FrameType type,
-    const std::function<void(std::uint8_t, net::BufWriter&)>& build_body,
-    FrameType expect, const ControlSpan& span) {
+    const std::function<void(net::BufWriter&)>& build_body, FrameType expect,
+    const ControlSpan& span) {
   const util::RetryPolicy& rp = config_.reconnect;
   for (std::size_t attempt = 1; attempt <= rp.attempts(); ++attempt) {
     if (attempt > 1) std::this_thread::sleep_for(rp.delay(attempt - 1));
     FabricEndpoint ep = endpoint(endpoint_index);
     auto conn = TcpConn::dial(ep.host, ep.port);
     if (!conn) continue;
-    net::BufWriter hello;
-    hello.u8(kFabricVersionMin);
-    hello.u8(kFabricVersionMax);
-    hello.u32(kControlLane);
-    hello.u32(kControlLane);
-    if (!conn->send_frame(FrameType::kHello, hello.data())) continue;
-    auto hello_ack = conn->recv_frame();
-    if (!hello_ack || hello_ack->type != FrameType::kHelloAck) continue;
-    net::BufReader hr(hello_ack->body);
-    const std::uint8_t version = hr.u8();
-    if (!hr.ok() || version < kFabricVersionMin ||
-        version > kFabricVersionMax) {
-      continue;
-    }
-    // STATS is v2-only; a v1 server can never answer it, so retrying
-    // would only repeat the refusal.
-    if (type == FrameType::kStats && version < 2) return std::nullopt;
+    const HelloReply greeting = hello(*conn, kControlLane, kControlLane);
+    if (greeting.status == HelloReply::Status::kRefused) return std::nullopt;
+    if (greeting.status == HelloReply::Status::kDropped) continue;
     net::BufWriter body;
-    build_body(version, body);
+    build_body(body);
     auto t0 = std::chrono::steady_clock::now();
     if (!conn->send_frame(type, body.data())) continue;
     auto reply = conn->recv_frame();
@@ -424,12 +401,10 @@ bool FabricRouter::checkpoint_slot_locked(std::size_t slot) {
       next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   auto reply = control_rpc(
       placement_[slot], FrameType::kCheckpoint,
-      [&](std::uint8_t version, net::BufWriter& body) {
+      [&](net::BufWriter& body) {
         body.u32(static_cast<std::uint32_t>(slot));
-        if (version >= 2) {
-          body.u64(trace_id);
-          body.u64(util::wall_clock_ns());
-        }
+        body.u64(trace_id);
+        body.u64(util::wall_clock_ns());
       },
       FrameType::kCheckpointAck,
       ControlSpan{"fabric.checkpoint", static_cast<std::uint32_t>(slot),
@@ -442,11 +417,7 @@ bool FabricRouter::checkpoint_slot_locked(std::size_t slot) {
   for (std::uint32_t p = 0; p < producers && p < num_producers_; ++p) {
     std::uint64_t durable = r.u64();
     if (!r.ok()) return false;
-    Lane& ln = lane(slot, p);
-    while (ln.replay_base < durable && !ln.replay.empty()) {
-      ln.replay.pop_front();
-      ++ln.replay_base;
-    }
+    prune_replay(lane(slot, p), durable);
   }
   return true;
 }
@@ -470,7 +441,7 @@ void FabricRouter::close(util::SimTime end_time) {
     drain_slot_locked(slot);
     all_ok = control_rpc(
                  placement_[slot], FrameType::kClose,
-                 [&](std::uint8_t, net::BufWriter& body) {
+                 [&](net::BufWriter& body) {
                    body.u32(static_cast<std::uint32_t>(slot));
                    body.u64(static_cast<std::uint64_t>(end_time));
                  },
@@ -498,12 +469,10 @@ std::vector<core::PeerEvent> FabricRouter::query_events() {
             next_trace_id_.fetch_add(1, std::memory_order_relaxed);
         auto reply = control_rpc(
             placement_[slot], FrameType::kQuery,
-            [&](std::uint8_t version, net::BufWriter& body) {
+            [&](net::BufWriter& body) {
               body.u32(static_cast<std::uint32_t>(slot));
-              if (version >= 2) {
-                body.u64(trace_id);
-                body.u64(util::wall_clock_ns());
-              }
+              body.u64(trace_id);
+              body.u64(util::wall_clock_ns());
             },
             FrameType::kQueryResult,
             ControlSpan{"fabric.query", static_cast<std::uint32_t>(slot),
@@ -559,7 +528,7 @@ bool FabricRouter::migrate(std::size_t slot, std::size_t target_endpoint) {
   //    durable log position, with all closed events sealed to disk.
   if (!checkpoint_slot_locked(slot)) return false;
   // 3. Ship the slot directory (checkpoint + pinned segment suffix).
-  const auto slot_body = [slot](std::uint8_t, net::BufWriter& body) {
+  const auto slot_body = [slot](net::BufWriter& body) {
     body.u32(static_cast<std::uint32_t>(slot));
   };
   auto fetched = control_rpc(placement_[slot], FrameType::kHandoffFetch,
@@ -572,7 +541,7 @@ bool FabricRouter::migrate(std::size_t slot, std::size_t target_endpoint) {
   //    it recovered to, which must equal everything we ever sent.
   auto ack = control_rpc(
       target_endpoint, FrameType::kHandoffInstall,
-      [&](std::uint8_t, net::BufWriter& install) {
+      [&](net::BufWriter& install) {
         install.u32(static_cast<std::uint32_t>(slot));
         encode_files(*files, install);
       },
@@ -607,7 +576,7 @@ void FabricRouter::shutdown_endpoints() {
     count = endpoints_.size();
   }
   for (std::size_t e = 0; e < count; ++e) {
-    control_rpc(e, FrameType::kShutdown, [](std::uint8_t, net::BufWriter&) {},
+    control_rpc(e, FrameType::kShutdown, [](net::BufWriter&) {},
                 FrameType::kShutdownAck, ControlSpan{});
   }
 }
@@ -624,14 +593,14 @@ telemetry::FleetTelemetry FabricRouter::fleet_telemetry() {
         next_trace_id_.fetch_add(1, std::memory_order_relaxed);
     auto reply = control_rpc(
         e, FrameType::kStats,
-        [&](std::uint8_t, net::BufWriter& body) {
+        [&](net::BufWriter& body) {
           body.u64(trace_id);
           body.u64(util::wall_clock_ns());
           body.u32(1024);  // slow spans per slot — generous, bounded
         },
         FrameType::kStatsAck,
         ControlSpan{"fabric.stats", static_cast<std::uint32_t>(e), trace_id});
-    // An unreachable (or v1) endpoint is skipped: the fold covers what
+    // An unreachable endpoint is skipped: the fold covers what
     // answered, and the per-endpoint split shows who is missing.
     if (!reply) continue;
     net::BufReader r(reply->body);

@@ -5,9 +5,9 @@
 // hash the in-process pipeline shards by) and places each slot on a
 // remote shard server (fabric/placement.h).  The router:
 //
-//   * splits every pushed update into single-prefix sub-updates
-//     (withdrawals first — mirroring stream::ShardRouter's order, so
-//     per-key transition order is identical to the in-process plane),
+//   * splits every pushed update into single-prefix sub-updates with
+//     stream::split_update — the in-process ShardRouter's splitter, so
+//     per-key transition order is identical to the in-process plane,
 //   * batches them per (slot, producer) lane into APPEND frames with a
 //     bounded in-flight window (at most `max_inflight` unacked frames
 //     per lane; a full window blocks the producer — backpressure,
@@ -101,7 +101,9 @@ class FabricRouter {
 
   // Split + batch + send one update on producer `p`'s lanes.  Returns
   // false after close().  Throws std::runtime_error when an endpoint
-  // stays unreachable past the reconnect budget (never silent loss).
+  // stays unreachable past the reconnect budget or refuses the lane's
+  // HELLO (the server's ERROR text is in the message) — never silent
+  // loss.
   bool push(std::size_t p, const routing::FeedUpdate& update);
   // Send partial batches and drain every outstanding ack on `p`'s
   // lanes (on return, everything pushed so far is server-accepted).
@@ -134,15 +136,15 @@ class FabricRouter {
   // stop accepting and exit their run loop).  Best-effort.
   void shutdown_endpoints();
 
-  // Fleet-wide observability: one STATS RPC per endpoint (v2+ servers
-  // only; unreachable or v1 endpoints are skipped) gathers every
-  // hosted slot's full registry snapshot + recent slow spans, folds
-  // them into a single Snapshot (counters/gauges sum, histograms merge
-  // bucket-exactly, per_shard re-keyed by global slot id), and
-  // stitches remote server-side spans against this router's local ring
-  // records that share a trace id — attributing slow RPC time to
-  // wire/queue vs. remote engine.  The folded view feeds the existing
-  // Prometheus / BENCH-JSON exporters unchanged.
+  // Fleet-wide observability: one STATS RPC per endpoint (unreachable
+  // endpoints are skipped) gathers every hosted slot's full registry
+  // snapshot + recent slow spans, folds them into a single Snapshot
+  // (counters/gauges sum, histograms merge bucket-exactly, per_shard
+  // re-keyed by global slot id), and stitches remote server-side spans
+  // against this router's local ring records that share a trace id —
+  // attributing slow RPC time to wire/queue vs. remote engine.  The
+  // folded view feeds the existing Prometheus / BENCH-JSON exporters
+  // unchanged.
   telemetry::FleetTelemetry fleet_telemetry();
 
   std::size_t num_slots() const { return num_slots_; }
@@ -159,9 +161,6 @@ class FabricRouter {
   struct Lane {
     TcpConn conn;
     bool connected = false;
-    // HELLO-negotiated session version; v1 lanes emit v1 bodies (no
-    // trace header, sub-update ingest trailers truncated at send).
-    std::uint8_t version = kFabricVersionMax;
     std::uint64_t sent = 0;         // next sub-update index to assign
     std::uint64_t replay_base = 0;  // index of replay.front()
     // Encoded sub-updates in [replay_base, sent): everything accepted
@@ -189,12 +188,24 @@ class FabricRouter {
   void stage_sub(std::size_t p, const routing::FeedUpdate& sub,
                  std::size_t slot);
   void send_batch(Lane& ln, std::size_t slot, std::size_t p);
+  // Reads one APPEND_ACK, retiring its frame and pruning replay; false
+  // (lane marked disconnected) when the connection is lost.
+  bool read_ack(Lane& ln);
+  // read_ack plus RPC timing; reconnects (with replay) on loss.
   void recv_one_ack(Lane& ln, std::size_t slot, std::size_t p);
   void drain_lane(Lane& ln, std::size_t slot, std::size_t p);
   void ensure_connected(Lane& ln, std::size_t slot, std::size_t p);
+  // One dial + HELLO + resend of the un-accepted suffix.  False on a
+  // lost connection (the caller retries); throws when the server
+  // refuses the HELLO, since retrying would only repeat the refusal.
   bool try_connect(Lane& ln, std::size_t slot, std::size_t p);
-  void send_frames_for_replay(Lane& ln, std::size_t slot, std::size_t p,
-                              std::uint64_t from_index);
+  // Drop replay entries below the server's durable total.
+  static void prune_replay(Lane& ln, std::uint64_t durable);
+  // APPEND body for replay indices [from, from + count), which must
+  // already be in the lane's replay buffer.
+  static net::BufWriter append_body(const Lane& ln, std::size_t slot,
+                                    std::size_t p, std::uint64_t trace_id,
+                                    std::uint64_t from, std::size_t count);
 
   // Optional trace attribution for a control RPC: when label and
   // trace_id are set, the RPC's round trip is offered to the local
@@ -206,13 +217,13 @@ class FabricRouter {
     std::uint64_t trace_id = 0;
   };
 
-  // Fresh control connection RPC with retry; nullopt past the budget
-  // or on an ERROR reply of the wrong type.  The body is built AFTER
-  // the HELLO handshake via `build_body(negotiated_version, writer)` —
-  // v2 bodies carry trace-context headers a v1 server must not see.
+  // Fresh control connection RPC with retry; nullopt past the budget,
+  // at once when the server refuses the HELLO, or on a reply of the
+  // wrong type (e.g. ERROR).  The body is built after the HELLO
+  // handshake, so a trace header's origin stamp excludes the dial.
   std::optional<TcpConn::FramePayload> control_rpc(
       std::size_t endpoint_index, FrameType type,
-      const std::function<void(std::uint8_t, net::BufWriter&)>& build_body,
+      const std::function<void(net::BufWriter&)>& build_body,
       FrameType expect, const ControlSpan& span);
   bool checkpoint_slot_locked(std::size_t slot);
   void drain_slot_locked(std::size_t slot);
@@ -229,8 +240,8 @@ class FabricRouter {
   std::atomic<std::uint64_t> reconnects_count_{0};
   std::atomic<std::int64_t> inflight_total_{0};
   std::atomic<bool> closed_{false};
-  // Distributed trace-id generator: one id per RPC, stamped into v2
-  // frame headers and echoed by server-side spans.  0 means untraced.
+  // Distributed trace-id generator: one id per RPC, stamped into frame
+  // trace headers and echoed by server-side spans.  0 means untraced.
   std::atomic<std::uint64_t> next_trace_id_{1};
 
   telemetry::MetricsRegistry* metrics_ = nullptr;

@@ -87,7 +87,7 @@ bool TcpConn::send_frame(FrameType type, std::span<const std::uint8_t> body) {
   payload.u8(static_cast<std::uint8_t>(type));
   payload.bytes(body);
   net::BufWriter frame;
-  storage::wire::encode_frame(frame, kFabricMagic, kFabricVersionMax,
+  storage::wire::encode_frame(frame, kFabricMagic, kFabricVersion,
                               payload.data());
   return send_all(frame.data().data(), frame.size());
 }
@@ -109,10 +109,12 @@ std::optional<TcpConn::FramePayload> TcpConn::recv_frame() {
   std::vector<std::uint8_t> frame(sizeof(head) + len + 4);
   std::memcpy(frame.data(), head, sizeof(head));
   if (!recv_all(frame.data() + sizeof(head), len + 4)) return std::nullopt;
+  // Frame headers of any version up to ours are read: every version
+  // shares this frame layout, and an older peer's HELLO must reach
+  // negotiation to be refused with an ERROR naming the mismatch.
   net::BufReader reader(frame);
   auto decoded = storage::wire::decode_frame(reader, kFabricMagic,
-                                             kFabricVersionMin,
-                                             kFabricVersionMax,
+                                             /*min_version=*/1, kFabricVersion,
                                              kMaxFabricPayload);
   if (!decoded || decoded->payload.empty()) return std::nullopt;
   FramePayload out;

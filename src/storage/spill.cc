@@ -164,11 +164,12 @@ void SpillWriter::run() {
       BarrierResult r;
       r.ok = parked_.empty() && !degraded_;
       r.pos = writer_->durable_pos();
-      {
-        std::lock_guard<std::mutex> ticket_lock(item.ticket->m);
-        item.ticket->result = r;
-        item.ticket->done = true;
-      }
+      // Notify under the ticket's lock: the ticket lives on the
+      // barrier() caller's stack, and once that caller can observe
+      // done it may return and destroy it.
+      std::lock_guard<std::mutex> ticket_lock(item.ticket->m);
+      item.ticket->result = r;
+      item.ticket->done = true;
       item.ticket->cv.notify_all();
     }
     process(final_drain);

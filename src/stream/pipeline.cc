@@ -4,10 +4,9 @@ namespace bgpbh::stream {
 
 StreamPipeline::Producer::Producer(StreamPipeline& owner, std::size_t index,
                                    std::size_t num_shards, BlockPool& blocks,
-                                   bool zero_copy, std::size_t batch_size)
+                                   std::size_t batch_size)
     : owner_(&owner),
-      router_(num_shards, blocks, zero_copy,
-              static_cast<std::uint32_t>(index)),
+      router_(num_shards, blocks, static_cast<std::uint32_t>(index)),
       batch_size_(batch_size), pending_(num_shards) {
   for (auto& buf : pending_) buf.reserve(batch_size);
 }
@@ -75,8 +74,7 @@ StreamPipeline::StreamPipeline(const dictionary::BlackholeDictionary& dictionary
   producers_.reserve(num_producers);
   for (std::size_t i = 0; i < num_producers; ++i) {
     producers_.push_back(std::unique_ptr<Producer>(
-        new Producer(*this, i, workers_.num_shards(), blocks_,
-                     config.zero_copy, batch_size)));
+        new Producer(*this, i, workers_.num_shards(), blocks_, batch_size)));
   }
   // Live-state sampling: everything below is copied out of counters the
   // data plane already maintains, only when someone snapshots — zero

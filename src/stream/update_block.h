@@ -2,14 +2,14 @@
 //
 // An UPDATE message with K announced/withdrawn prefixes must reach up
 // to K different engine shards, but the expensive route attributes
-// (AS path, communities) are identical for every one of them.  The
-// original data plane materialized a full heap-allocated FeedUpdate —
-// including copies of those vectors — per sub-update; at millions of
-// updates/sec the pipeline was copy-bound, not compute-bound.
+// (AS path, communities) are identical for every one of them, and
+// copying them per sub-update makes the pipeline copy-bound at
+// millions of updates/sec.
 //
-// Here each parsed update is stored exactly once, in a pooled
+// So each parsed update is stored exactly once, in a pooled
 // UpdateBlock, and what moves through the shard queues is a 16-byte
-// SubUpdateRef naming (block, prefix index, kind).  Shards read the
+// SubUpdateRef naming (block, prefix index, kind) — one sub-update as
+// stream::split_update emits it.  Shards read the
 // path/communities/next-hop straight out of the shared block through
 // core::UpdateView — no materialization anywhere on the data plane.
 //
@@ -54,13 +54,9 @@ struct UpdateBlock {
 enum class SubKind : std::uint32_t {
   kWithdraw = 0,  // block->update.update.body.withdrawn[prefix_index]
   kAnnounce = 1,  // block->update.update.body.announced[prefix_index]
-  // A/B slow path: the block holds a fully materialized single-prefix
-  // FeedUpdate (the pre-zero-copy representation); the worker feeds it
-  // to the owning engine entry point.
-  kOwned = 2,
 };
 
-// The queue item of the zero-copy data plane: two words.
+// The queue item of the data plane: two words.
 struct SubUpdateRef {
   UpdateBlock* block = nullptr;
   std::uint32_t prefix_index = 0;

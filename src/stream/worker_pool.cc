@@ -133,24 +133,17 @@ void WorkerPool::worker_loop(Shard& shard) {
       UpdateBlock* block = ref.block;
       ++shard.watermarks[block->producer];
       const routing::FeedUpdate& fu = block->update;
-      if (ref.kind == SubKind::kOwned) {
-        // A/B slow path: materialized single-prefix update, owning
-        // engine entry point.
-        shard.engine->process(fu.platform, fu.update);
-      } else {
-        const bool withdrawal = ref.kind == SubKind::kWithdraw;
-        view.platform = fu.platform;
-        view.time = fu.update.time;
-        view.peer = bgp::PeerKey{fu.update.peer_ip, fu.update.peer_asn};
-        view.is_withdrawal = withdrawal;
-        view.prefix = withdrawal
-                          ? &fu.update.body.withdrawn[ref.prefix_index]
-                          : &fu.update.body.announced[ref.prefix_index];
-        view.as_path = &fu.update.body.as_path;
-        view.communities = &fu.update.body.communities;
-        view.ingest_ns = fu.ingest_ns;
-        shard.engine->process(view);
-      }
+      const bool withdrawal = ref.kind == SubKind::kWithdraw;
+      view.platform = fu.platform;
+      view.time = fu.update.time;
+      view.peer = bgp::PeerKey{fu.update.peer_ip, fu.update.peer_asn};
+      view.is_withdrawal = withdrawal;
+      view.prefix = withdrawal ? &fu.update.body.withdrawn[ref.prefix_index]
+                               : &fu.update.body.announced[ref.prefix_index];
+      view.as_path = &fu.update.body.as_path;
+      view.communities = &fu.update.body.communities;
+      view.ingest_ns = fu.ingest_ns;
+      shard.engine->process(view);
       if (BlockPool::unref(block)) to_recycle.push_back(block);
     }
     blocks_.recycle_batch(to_recycle);

@@ -22,7 +22,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <span>
+#include <stdexcept>
 #include <map>
 #include <string>
 #include <thread>
@@ -285,8 +289,8 @@ TEST(ShardServerSmoke, HelloNegotiatesAndHealthAnswers) {
   auto conn = TcpConn::dial("127.0.0.1", server.port);
   ASSERT_TRUE(conn.has_value());
   net::BufWriter hello;
-  hello.u8(kFabricVersionMin);
-  hello.u8(kFabricVersionMax);
+  hello.u8(kFabricVersion);
+  hello.u8(kFabricVersion);
   hello.u32(kControlLane);
   hello.u32(kControlLane);
   ASSERT_TRUE(conn->send_frame(FrameType::kHello, hello.data()));
@@ -294,7 +298,7 @@ TEST(ShardServerSmoke, HelloNegotiatesAndHealthAnswers) {
   ASSERT_TRUE(hello_ack.has_value());
   ASSERT_EQ(hello_ack->type, FrameType::kHelloAck);
   net::BufReader hr(hello_ack->body);
-  EXPECT_EQ(hr.u8(), kFabricVersionMax);
+  EXPECT_EQ(hr.u8(), kFabricVersion);
   EXPECT_EQ(hr.u64(), 0u);
   ASSERT_TRUE(conn->send_frame(FrameType::kHealth, {}));
   auto health = conn->recv_frame();
@@ -311,6 +315,99 @@ TEST(ShardServerSmoke, HelloNegotiatesAndHealthAnswers) {
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   fs::remove_all(dir);
+}
+
+// A peer offering only versions this build no longer speaks gets an
+// ERROR naming the mismatch, not a silently dropped connection.
+TEST(ShardServerSmoke, HelloRejectsUnsupportedVersion) {
+  std::string dir = temp_dir("bgpbh_fabric_smoke_version");
+  ServerProc server = ServerProc::spawn(dir, 1);
+  ASSERT_TRUE(server.valid());
+  const auto send_hello = [](TcpConn& conn, std::uint8_t version) {
+    net::BufWriter hello;
+    hello.u8(version);
+    hello.u8(version);
+    hello.u32(kControlLane);
+    hello.u32(kControlLane);
+    return conn.send_frame(FrameType::kHello, hello.data());
+  };
+  {
+    auto conn = TcpConn::dial("127.0.0.1", server.port);
+    ASSERT_TRUE(conn.has_value());
+    ASSERT_TRUE(send_hello(*conn, 1));
+    auto reply = conn->recv_frame();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::kError);
+    EXPECT_EQ(std::string(reply->body.begin(), reply->body.end()),
+              "no common fabric protocol version");
+  }
+  // The refusal cost the server nothing: a current peer still gets in.
+  auto conn = TcpConn::dial("127.0.0.1", server.port);
+  ASSERT_TRUE(conn.has_value());
+  ASSERT_TRUE(send_hello(*conn, kFabricVersion));
+  auto hello_ack = conn->recv_frame();
+  ASSERT_TRUE(hello_ack.has_value());
+  ASSERT_EQ(hello_ack->type, FrameType::kHelloAck);
+  ASSERT_TRUE(conn->send_frame(FrameType::kShutdown, {}));
+  auto ack = conn->recv_frame();
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, FrameType::kShutdownAck);
+  int status = server.wait_exit();
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  fs::remove_all(dir);
+}
+
+// A server that refuses every HELLO with ERROR: the router must fail at
+// once with the server's text, not redial through its reconnect budget
+// and report the endpoint "unreachable".
+TEST(FabricRouterHello, RefusedHelloFailsAtOnceWithServerText) {
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.has_value());
+  std::atomic<int> accepts{0};
+  std::thread server([&] {
+    while (auto conn = listener->accept()) {
+      accepts.fetch_add(1);
+      if (conn->recv_frame()) {
+        const std::string text = "test server refuses every lane";
+        conn->send_frame(
+            FrameType::kError,
+            std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                      text.size()));
+      }
+    }
+  });
+  FabricConfig config;
+  config.endpoints = {FabricEndpoint{"127.0.0.1", listener->port()}};
+  // Short budget: a regression that retries still ends quickly, and
+  // shows up in the accept count.
+  config.reconnect.max_attempts = 3;
+  config.reconnect.base_delay = std::chrono::milliseconds(1);
+  config.reconnect.max_delay = std::chrono::milliseconds(1);
+  {
+    FabricRouter router(config, /*num_slots=*/1, /*num_producers=*/1,
+                        nullptr);
+    // Control RPC: refused once, reported as a failed checkpoint.
+    EXPECT_FALSE(router.checkpoint_all());
+    EXPECT_EQ(accepts.load(), 1);
+    // Data lane: the refusal surfaces as an exception carrying the text.
+    FeedUpdate update;
+    update.update.peer_ip = *net::IpAddr::parse("198.51.100.1");
+    update.update.peer_asn = 200;
+    update.update.body.announced.push_back(*net::Prefix::parse("20.0.1.1/32"));
+    ASSERT_TRUE(router.push(0, update));
+    try {
+      router.flush(0);
+      ADD_FAILURE() << "flush() through a refused HELLO did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("test server refuses every lane"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  listener->shutdown();
+  server.join();
+  EXPECT_EQ(accepts.load(), 2);
 }
 
 // ---- the headline grid ------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 #include "bgp/mrt.h"
 #include "bgp/update.h"
@@ -14,6 +15,7 @@
 #include "recovery/checkpoint.h"
 #include "routing/collectors.h"
 #include "storage/record_codec.h"
+#include "stream/shard_router.h"
 #include "telemetry/fleet.h"
 #include "util/rng.h"
 
@@ -596,7 +598,7 @@ TEST_P(FuzzSeedTest, TruncationSweepFleetTelemetry) {
   }
 }
 
-// ---- fabric sub-update codec: the v2 ingest trailer -------------------
+// ---- fabric sub-update codec ------------------------------------------
 
 routing::FeedUpdate stamped_sub_update() {
   routing::FeedUpdate fu;
@@ -612,45 +614,119 @@ routing::FeedUpdate stamped_sub_update() {
   return fu;
 }
 
-TEST_P(FuzzSeedTest, SubUpdateV2RoundTripsIngestStampAndV1Truncates) {
+// Two withdrawn + two announced prefixes: the fabric ships each of its
+// sub-updates separately.
+routing::FeedUpdate multi_prefix_update() {
   routing::FeedUpdate fu = stamped_sub_update();
-  net::BufWriter w;
-  fabric::encode_sub_update(fu, w);
+  fu.update.collector_id = 7;
+  fu.update.body.withdrawn = {*net::Prefix::parse("20.0.1.1/32"),
+                              *net::Prefix::parse("20.0.1.2/32")};
+  fu.update.body.announced = {*net::Prefix::parse("130.149.7.0/24"),
+                              *net::Prefix::parse("130.149.8.1/32")};
+  fu.update.body.communities.add(bgp::LargeCommunity(64500, 666, 0));
+  fu.update.body.origin = bgp::Origin::kIncomplete;
+  return fu;
+}
+
+TEST_P(FuzzSeedTest, SubUpdateRoundTripsIngestStampAndSplit) {
   {
-    // v2 lane: the trailer survives the wire.
+    // One stamped sub-update: the trailer survives the wire.
+    routing::FeedUpdate fu = stamped_sub_update();
+    net::BufWriter w;
+    fabric::encode_sub_update(fu, w);
     net::BufReader r(w.data());
-    auto decoded = fabric::decode_sub_update(r, 2);
+    auto decoded = fabric::decode_sub_update(r);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_TRUE(r.at_end());
     EXPECT_TRUE(*decoded == fu);
     EXPECT_EQ(decoded->ingest_ns, fu.ingest_ns);
   }
-  {
-    // v1 lane: the sender truncates the trailer; a v1 decode of the
-    // truncated bytes consumes everything and leaves the stamp unset.
-    auto bytes = w.take();
-    bytes.resize(bytes.size() - fabric::kSubUpdateIngestTrailerBytes);
-    net::BufReader r(bytes);
-    auto decoded = fabric::decode_sub_update(r, 1);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(r.at_end());
-    EXPECT_TRUE(*decoded == fu);  // ingest_ns excluded from equality
-    EXPECT_EQ(decoded->ingest_ns, 0u);
+  // A multi-prefix update through the fabric's path: split_update, then
+  // make_sub_update + encode -> decode per sub-update.
+  using Routed = std::tuple<std::size_t, stream::SubKind, std::uint32_t>;
+  constexpr std::size_t kShards = 8;
+  const routing::FeedUpdate fu = multi_prefix_update();
+  const bgp::UpdateBody& body = fu.update.body;
+  const bgp::PeerKey peer{fu.update.peer_ip, fu.update.peer_asn};
+  std::vector<Routed> split;
+  std::uint64_t stamp = 0;
+  routing::FeedUpdate sub;
+  stream::split_update(
+      fu, kShards,
+      [&](std::uint64_t ingest_ns, std::size_t subs) {
+        stamp = ingest_ns;
+        EXPECT_EQ(subs, 4u);
+      },
+      [&](std::size_t shard, stream::SubKind kind, std::uint32_t index) {
+        split.emplace_back(shard, kind, index);
+        fabric::make_sub_update(fu, kind, index, stamp, sub);
+        net::BufWriter w;
+        fabric::encode_sub_update(sub, w);
+        net::BufReader r(w.data());
+        auto decoded = fabric::decode_sub_update(r);
+        ASSERT_TRUE(decoded.has_value());
+        EXPECT_TRUE(r.at_end());
+        EXPECT_TRUE(*decoded == sub);
+        EXPECT_EQ(decoded->ingest_ns, fu.ingest_ns);  // pre-stamped: kept
+        EXPECT_EQ(decoded->platform, fu.platform);
+        EXPECT_EQ(decoded->update.time, fu.update.time);
+        EXPECT_EQ(decoded->update.peer_ip, fu.update.peer_ip);
+        EXPECT_EQ(decoded->update.peer_asn, fu.update.peer_asn);
+        EXPECT_EQ(decoded->update.collector_id, fu.update.collector_id);
+        const bgp::UpdateBody& got = decoded->update.body;
+        if (kind == stream::SubKind::kWithdraw) {
+          // A withdrawal carries no route attributes.
+          ASSERT_EQ(got.withdrawn.size(), 1u);
+          EXPECT_EQ(got.withdrawn[0], body.withdrawn[index]);
+          EXPECT_TRUE(got.announced.empty());
+          EXPECT_TRUE(got.as_path.empty());
+          EXPECT_TRUE(got.communities.empty());
+          EXPECT_EQ(shard, stream::shard_for(peer, body.withdrawn[index],
+                                             kShards));
+        } else {
+          // An announcement carries path, communities, next hop, origin.
+          ASSERT_EQ(got.announced.size(), 1u);
+          EXPECT_EQ(got.announced[0], body.announced[index]);
+          EXPECT_TRUE(got.withdrawn.empty());
+          EXPECT_EQ(got.as_path, body.as_path);
+          EXPECT_EQ(got.communities, body.communities);
+          EXPECT_EQ(got.next_hop, body.next_hop);
+          EXPECT_EQ(got.origin, body.origin);
+          EXPECT_EQ(shard, stream::shard_for(peer, body.announced[index],
+                                             kShards));
+        }
+      });
+  // Withdrawals first, each in order, then the announcements.
+  const std::vector<std::pair<stream::SubKind, std::uint32_t>> order = {
+      {stream::SubKind::kWithdraw, 0},
+      {stream::SubKind::kWithdraw, 1},
+      {stream::SubKind::kAnnounce, 0},
+      {stream::SubKind::kAnnounce, 1}};
+  ASSERT_EQ(split.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(std::get<1>(split[i]), order[i].first) << i;
+    EXPECT_EQ(std::get<2>(split[i]), order[i].second) << i;
   }
+  // The in-process router emits the same (shard, kind, index) sequence.
+  stream::BlockPool pool;
+  stream::ShardRouter router(kShards, pool);
+  std::vector<Routed> routed;
+  router.route(fu, [&](std::size_t shard, stream::SubUpdateRef ref) {
+    routed.emplace_back(shard, ref.kind, ref.prefix_index);
+    EXPECT_EQ(ref.block->update.ingest_ns, fu.ingest_ns);
+    pool.release(ref.block);
+  });
+  router.release_cached_blocks();
+  EXPECT_EQ(routed, split);
+  EXPECT_EQ(pool.in_flight(), 0u);
 }
 
-TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInputBothVersions) {
+TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInput) {
   util::Rng rng(GetParam() ^ 0x5B02);
   for (int i = 0; i < 3000; ++i) {
     auto bytes = random_bytes(rng, 512);
-    {
-      net::BufReader r(bytes);
-      (void)fabric::decode_sub_update(r, 1);
-    }
-    {
-      net::BufReader r(bytes);
-      (void)fabric::decode_sub_update(r, 2);
-    }
+    net::BufReader r(bytes);
+    (void)fabric::decode_sub_update(r);
   }
 }
 
@@ -662,7 +738,7 @@ TEST_P(FuzzSeedTest, TruncationSweepSubUpdateV2) {
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> t(full.begin(), full.begin() + cut);
     net::BufReader r(t);
-    auto decoded = fabric::decode_sub_update(r, 2);
+    auto decoded = fabric::decode_sub_update(r);
     // A shorter input may still parse as a degenerate sub-update, but
     // never as the original (the trailer alone guarantees that for the
     // last 8 cuts).

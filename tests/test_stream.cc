@@ -247,45 +247,6 @@ TEST(ShardRouter, SplitsPerPrefixWithdrawalsFirstZeroCopy) {
   EXPECT_EQ(pool.in_flight(), 0u);
 }
 
-TEST(ShardRouter, OwningSlowPathMaterializesPerSubUpdate) {
-  BlockPool pool;
-  ShardRouter router(4, pool, /*zero_copy=*/false);
-  FeedUpdate fu = make_update(Platform::kRis, "198.51.100.1", 200,
-                              {"20.0.1.1/32", "20.0.1.2/32"}, {"20.0.1.3/32"});
-  std::vector<std::pair<std::size_t, SubUpdateRef>> routed;
-  router.route(fu, [&](std::size_t shard, SubUpdateRef ref) {
-    routed.emplace_back(shard, ref);
-  });
-  ASSERT_EQ(routed.size(), 3u);
-
-  // One materialized block per sub-update, all owned (refs == 1).
-  EXPECT_EQ(pool.in_flight(), ShardRouter::kBlockCacheSize);  // incl. cache
-  for (const auto& [shard, ref] : routed) {
-    EXPECT_EQ(ref.kind, SubKind::kOwned);
-    EXPECT_EQ(ref.block->refs.load(), 1u);
-    EXPECT_EQ(ref.block->update.platform, fu.platform);
-    EXPECT_EQ(ref.block->update.update.time, fu.update.time);
-    EXPECT_EQ(ref.block->update.update.peer_ip, fu.update.peer_ip);
-  }
-  const auto& w = routed[0].second.block->update.update.body;
-  EXPECT_EQ(w.withdrawn.size(), 1u);
-  EXPECT_TRUE(w.announced.empty());
-  EXPECT_TRUE(w.as_path.empty());
-  for (std::size_t i = 1; i < 3; ++i) {
-    const auto& a = routed[i].second.block->update.update.body;
-    EXPECT_EQ(a.announced.size(), 1u);
-    EXPECT_TRUE(a.withdrawn.empty());
-    EXPECT_EQ(a.as_path, fu.update.body.as_path);
-    EXPECT_EQ(a.communities, fu.update.body.communities);
-  }
-  // Same shard assignment as the zero-copy plane.
-  bgp::PeerKey peer{fu.update.peer_ip, fu.update.peer_asn};
-  EXPECT_EQ(routed[0].first, shard_for(peer, fu.update.body.withdrawn[0], 4));
-  for (const auto& [shard, ref] : routed) pool.release(ref.block);
-  router.release_cached_blocks();
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
 TEST(ShardRouter, ShardAssignmentIsDeterministicAndSingleShardIsZero) {
   bgp::PeerKey peer{*net::IpAddr::parse("198.51.100.1"), 200};
   net::Prefix prefix = *net::Prefix::parse("20.0.1.1/32");
@@ -497,7 +458,6 @@ struct PipelineRunOptions {
   std::size_t shards = 4;
   std::size_t batch_size = 64;
   std::size_t producers = 1;
-  bool zero_copy = true;
 };
 
 // Runs the fixture stream through a pipeline.  With several producers,
@@ -514,7 +474,6 @@ std::vector<PeerEvent> pipeline_events_opt(const PipelineRunOptions& opt,
   config.drain_batch = 32;
   config.batch_size = opt.batch_size;
   config.num_producers = opt.producers;
-  config.zero_copy = opt.zero_copy;
   StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
   if (auto dump = f.study->initial_table_dump()) {
     pipeline.init_from_table_dump(Platform::kRis, *dump);
@@ -597,18 +556,6 @@ TEST(StreamPipeline, EquivalenceAcrossShardsBatchesProducers) {
       }
     }
   }
-}
-
-// The owning-FeedUpdate slow path (zero_copy = false) stays behind a
-// config knob as the A/B baseline; its event set must match the
-// zero-copy plane's (and hence the sequential engine's) exactly.
-TEST(StreamPipeline, OwningSlowPathMatchesZeroCopyPath) {
-  EngineStats fast_stats, slow_stats;
-  auto fast = pipeline_events_opt({.zero_copy = true}, &fast_stats);
-  auto slow = pipeline_events_opt({.zero_copy = false}, &slow_stats);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_TRUE(fast == slow);
-  EXPECT_EQ(fast_stats, slow_stats);
 }
 
 // Randomized flush stress: interleave push()/flush() at random points
