@@ -22,6 +22,141 @@ stream::PipelineConfig pipeline_config(const SessionConfig& config) {
   return pc;
 }
 
+stream::EventStore::Snapshot snapshot_of(
+    std::span<const core::PeerEvent> events) {
+  stream::EventStore::Snapshot snap;
+  bool any = false;
+  for (const auto& e : events) stream::EventStore::fold_event(snap, any, e);
+  return snap;
+}
+
+}  // namespace
+
+// ---- the live data plane -------------------------------------------------
+// Where a live session's updates are processed: in this process
+// (LocalPlane, a sharded StreamPipeline) or on remote shard servers
+// (FabricPlane, a FabricRouter client).  The constructor picks one;
+// every live method then calls it without asking which (see the
+// session.h file comment).
+class LivePlane {
+ public:
+  virtual ~LivePlane() = default;
+  virtual void start() {}
+  virtual bool push(std::size_t p, const routing::FeedUpdate& update) = 0;
+  virtual void flush(std::size_t p) = 0;
+  // Until every update accepted so far is fully processed.
+  virtual void drain() = 0;
+  // Drain, then force-close still-open events at `end_time`.
+  virtual void close(util::SimTime end_time) = 0;
+  virtual bool checkpoint_now() = 0;
+  // Closed events so far, in any order.
+  virtual std::vector<core::PeerEvent> events(const EventQuery& q) const = 0;
+  // Derived from events() unless a plane can count in place.
+  virtual std::size_t count(const EventQuery& q) const {
+    return events(q).size();
+  }
+  virtual stream::EventStore::Snapshot snapshot() const {
+    return snapshot_of(events({}));
+  }
+  virtual std::uint64_t updates_pushed() const = 0;
+  virtual std::size_t num_shards() const = 0;
+};
+
+namespace {
+
+class LocalPlane final : public LivePlane {
+ public:
+  LocalPlane(const core::Study& study, const stream::PipelineConfig& config)
+      : pipeline_(study.dictionary(), study.registry(), config) {}
+
+  stream::StreamPipeline& pipeline() { return pipeline_; }
+  void set_coordinator(recovery::CheckpointCoordinator* coordinator) {
+    coordinator_ = coordinator;
+  }
+
+  void start() override { pipeline_.start(); }
+  bool push(std::size_t p, const routing::FeedUpdate& update) override {
+    return pipeline_.producer(p).push(update);
+  }
+  void flush(std::size_t p) override { pipeline_.producer(p).flush(); }
+  void drain() override {
+    for (std::size_t p = 0; p < pipeline_.num_producers(); ++p) flush(p);
+    // Producers count refs at push, workers at drain: equal means every
+    // sub-update has reached its shard engine (the drained-cut point).
+    while (pipeline_.total_processed() < pipeline_.total_refs_enqueued()) {
+      std::this_thread::yield();
+    }
+  }
+  void close(util::SimTime end_time) override { pipeline_.finish(end_time); }
+  bool checkpoint_now() override {
+    return coordinator_ && coordinator_->checkpoint_now();
+  }
+  std::vector<core::PeerEvent> events(const EventQuery& q) const override {
+    return pipeline_.store().query([&q](auto& e) { return q.matches(e); });
+  }
+  std::size_t count(const EventQuery& q) const override {
+    return pipeline_.store().count([&q](auto& e) { return q.matches(e); });
+  }
+  stream::EventStore::Snapshot snapshot() const override {
+    return pipeline_.store().snapshot();
+  }
+  std::uint64_t updates_pushed() const override {
+    return pipeline_.updates_pushed();
+  }
+  std::size_t num_shards() const override { return pipeline_.num_shards(); }
+
+ private:
+  stream::StreamPipeline pipeline_;
+  recovery::CheckpointCoordinator* coordinator_ = nullptr;
+};
+
+// Also the session's "fabric" health component.
+class FabricPlane final : public LivePlane, public HealthReporter {
+ public:
+  FabricPlane(const fabric::FabricConfig& config, std::size_t slots,
+              std::size_t producers, telemetry::MetricsRegistry* metrics)
+      : router_(config, slots, producers, metrics) {}
+
+  fabric::FabricRouter& router() { return router_; }
+
+  // start() is a no-op: lanes dial lazily on the first push.
+  bool push(std::size_t p, const routing::FeedUpdate& update) override {
+    return router_.push(p, update);
+  }
+  void flush(std::size_t p) override { router_.flush(p); }
+  // Flushing a lane drains its acks.
+  void drain() override {
+    for (std::size_t p = 0; p < router_.num_producers(); ++p) flush(p);
+  }
+  void close(util::SimTime end_time) override { router_.close(end_time); }
+  bool checkpoint_now() override { return router_.checkpoint_all(); }
+  std::vector<core::PeerEvent> events(const EventQuery& q) const override {
+    std::vector<core::PeerEvent> out;
+    for (auto& e : router_.query_events()) {
+      if (q.matches(e)) out.push_back(std::move(e));
+    }
+    return out;
+  }
+  std::uint64_t updates_pushed() const override {
+    return router_.updates_pushed();
+  }
+  std::size_t num_shards() const override { return router_.num_slots(); }
+
+  ComponentHealth component_health() const override {
+    ComponentHealth c;
+    c.component = "fabric";
+    // Recovered (replay made the lanes whole), but worth surfacing.
+    if (const std::uint64_t n = router_.reconnects()) {
+      c.reason = std::to_string(n) + " lane reconnect(s)";
+    }
+    return c;
+  }
+
+ private:
+  // Scatter-gather queries go through the router from const reads.
+  mutable fabric::FabricRouter router_;
+};
+
 }  // namespace
 
 AnalysisSession::AnalysisSession(SessionConfig config)
@@ -47,9 +182,21 @@ AnalysisSession::AnalysisSession(SessionConfig config)
   const std::size_t shards = config_.num_shards == 0 ? 1 : config_.num_shards;
   const std::size_t producers =
       config_.num_producers == 0 ? 1 : config_.num_producers;
-  // Fabric client: the data plane is a FabricRouter instead of a local
-  // pipeline; num_shards is the global slot count.  The incompatible
-  // knobs below are programming errors, so they throw in release too.
+  // Poison quarantine, in front of either live plane: a fabric client
+  // runs the same check client-side (shard servers admit everything),
+  // so the per-lane sub-update index spaces match the in-process ones.
+  if (live()) {
+    recovery::QuarantineConfig qc;
+    qc.max_as_path_hops = config_.max_as_path_hops;
+    qc.max_communities = config_.max_communities;
+    qc.error_budget = config_.poison_error_budget;
+    qc.metrics = &metrics_;
+    quarantine_ = std::make_unique<recovery::PoisonQuarantine>(producers, qc);
+  }
+  // Fabric client: the live plane is a FabricRouter and num_shards is
+  // the global slot count.  The incompatible knobs below are
+  // programming errors, so they throw in release too.  The only place
+  // the session asks which plane it runs.
   if (config_.fabric.enabled()) {
     if (config_.mode != SessionConfig::Mode::kLiveFeed) {
       throw std::logic_error(
@@ -66,14 +213,11 @@ AnalysisSession::AnalysisSession(SessionConfig config)
           "bgpbh: fabric mode requires study.table_dump_episodes == 0; a "
           "table dump would be folded once per remote slot session");
     }
-    recovery::QuarantineConfig qc;
-    qc.max_as_path_hops = config_.max_as_path_hops;
-    qc.max_communities = config_.max_communities;
-    qc.error_budget = config_.poison_error_budget;
-    qc.metrics = &metrics_;
-    quarantine_ = std::make_unique<recovery::PoisonQuarantine>(producers, qc);
-    fabric_ = std::make_unique<fabric::FabricRouter>(config_.fabric, shards,
-                                                     producers, &metrics_);
+    auto plane = std::make_unique<FabricPlane>(config_.fabric, shards,
+                                               producers, &metrics_);
+    fabric_ = &plane->router();
+    health_reporters_.push_back(plane.get());
+    plane_ = std::move(plane);
     return;
   }
   // Crash recovery, BEFORE the spill writer opens: load the newest
@@ -146,8 +290,8 @@ AnalysisSession::AnalysisSession(SessionConfig config)
   if (live()) {
     stream::PipelineConfig pc = pipeline_config(config_);
     pc.metrics = &metrics_;
-    pipeline_ = std::make_unique<stream::StreamPipeline>(
-        study_->dictionary(), study_->registry(), pc);
+    auto local = std::make_unique<LocalPlane>(*study_, pc);
+    pipeline_ = &local->pipeline();
     // Spill hook before anything can ingest (the store's lifecycle
     // contract): every sealed chunk — including finish()'s force-closed
     // remainder — crosses the bounded queue to the segment writer.
@@ -198,13 +342,7 @@ AnalysisSession::AnalysisSession(SessionConfig config)
         pipeline_->init_from_table_dump(routing::Platform::kRis, *dump);
       }
     }
-    // Supervision + ingest-validation planes.
-    recovery::QuarantineConfig qc;
-    qc.max_as_path_hops = config_.max_as_path_hops;
-    qc.max_communities = config_.max_communities;
-    qc.error_budget = config_.poison_error_budget;
-    qc.metrics = &metrics_;
-    quarantine_ = std::make_unique<recovery::PoisonQuarantine>(producers, qc);
+    // Supervision plane.
     if (config_.stall_deadline.count() > 0) {
       std::vector<recovery::WatchedShard> watched;
       watched.reserve(shards);
@@ -250,6 +388,7 @@ AnalysisSession::AnalysisSession(SessionConfig config)
       cc.metrics = &metrics_;
       coordinator_ = std::make_unique<recovery::CheckpointCoordinator>(
           std::move(hooks), cc);
+      local->set_coordinator(coordinator_.get());
       coordinator_->set_includes_table_dump(has_dump);
       if (recovered_) coordinator_->set_next_seq(recovered_seq_ + 1);
       // Bootstrap cut: a recovery-enabled session killed before its
@@ -257,6 +396,7 @@ AnalysisSession::AnalysisSession(SessionConfig config)
       // (covering the table-dump / recovered state it started from).
       coordinator_->checkpoint_now();
     }
+    plane_ = std::move(local);
   }
 }
 
@@ -268,10 +408,10 @@ AnalysisSession::~AnalysisSession() {
 }
 
 bool AnalysisSession::subscribe(EventSink& sink) {
-  // Fabric clients have no local event stream to deliver from (events
-  // close on the remote shard servers); refuse rather than silently
-  // never deliver.
-  if (fabric_) return false;
+  // A live session without a local pipeline (a fabric client: events
+  // close on the remote shard servers) has no event stream to deliver
+  // from; refuse rather than silently never deliver.
+  if (live() && !pipeline_) return false;
   // The dispatcher snapshots the sink list when delivery begins; a
   // late subscriber could never be delivered to, so refuse it loudly
   // rather than ignore it silently.
@@ -334,16 +474,6 @@ SessionHealth AnalysisSession::health() const {
     }
     overall.components.push_back(std::move(c));
   }
-  if (fabric_) {
-    ComponentHealth c;
-    c.component = "fabric";
-    const std::uint64_t reconnects = fabric_->reconnects();
-    if (reconnects > 0) {
-      // Recovered (replay made the lanes whole), but worth surfacing.
-      c.reason = std::to_string(reconnects) + " lane reconnect(s)";
-    }
-    overall.components.push_back(std::move(c));
-  }
   if (quarantine_) overall.components.push_back(quarantine_->component_health());
   if (watchdog_) overall.components.push_back(watchdog_->component_health());
   if (coordinator_) {
@@ -375,13 +505,11 @@ void AnalysisSession::start_dispatcher() {
       sinks_, &grouper_, config_.sink_queue_chunks,
       [this] { return snapshot(); }, config_.snapshot_every_events, &metrics_,
       config_.sink_overload, config_.sink_shed_deadline);
-  if (pipeline_) {
-    dispatcher_->start();
-    pipeline_->store().set_chunk_listener(
-        [this](std::size_t, std::vector<core::PeerEvent> chunk) {
-          dispatcher_->submit(std::move(chunk));
-        });
-  }
+  dispatcher_->start();
+  pipeline_->store().set_chunk_listener(
+      [this](std::size_t, std::vector<core::PeerEvent> chunk) {
+        dispatcher_->submit(std::move(chunk));
+      });
 }
 
 void AnalysisSession::require_live(const char* what) const {
@@ -396,18 +524,13 @@ void AnalysisSession::require_live(const char* what) const {
 void AnalysisSession::start() {
   require_live("start()");
   if (closed_) return;  // a closed session quietly refuses to restart
-  if (fabric_) {
-    // Lanes dial lazily on the first push; nothing to wire locally.
-    started_.store(true, std::memory_order_release);
-    return;
-  }
   // call_once blocks concurrent callers until the winner has wired the
   // dispatcher and store listener AND started the pipeline — a racing
   // first push can therefore never reach a shard worker (whose drains
   // invoke the listener) before the subscription layer exists.
   std::call_once(start_once_, [this] {
     start_dispatcher();
-    pipeline_->start();
+    plane_->start();
     if (watchdog_) watchdog_->start();
     if (coordinator_) coordinator_->start();
     started_.store(true, std::memory_order_release);
@@ -421,56 +544,33 @@ bool AnalysisSession::push(const routing::FeedUpdate& update,
   if (!started_.load(std::memory_order_acquire)) start();
   // Poison quarantine: reject absurd updates before they can reach a
   // shard worker (an adversarial feed must degrade health, not state).
-  // Fabric mode runs the SAME quarantine client-side (the shard
-  // servers admit everything), so accept/reject decisions — and hence
-  // the per-lane sub-update index spaces — match the in-process plane.
-  if (quarantine_ && !quarantine_->admit(update, producer)) return false;
-  if (fabric_) return fabric_->push(producer, update);
-  return pipeline_->producer(producer).push(update);
+  if (!quarantine_->admit(update, producer)) return false;
+  return plane_->push(producer, update);
 }
 
 void AnalysisSession::flush(std::size_t producer) {
   require_live("flush()");
   if (closed_ || !started_.load(std::memory_order_acquire)) return;
-  if (fabric_) {
-    fabric_->flush(producer);
-    return;
-  }
-  pipeline_->producer(producer).flush();
+  plane_->flush(producer);
 }
 
 std::uint64_t AnalysisSession::feed(stream::UpdateSource& source) {
   require_live("feed()");
   if (closed_) return 0;  // defined: nothing consumed
   if (!started_.load(std::memory_order_acquire)) start();
-  if (fabric_) {
-    std::uint64_t accepted = 0;
-    while (const routing::FeedUpdate* update = source.next()) {
-      if (push(*update, 0)) ++accepted;
-    }
-    return accepted;
+  // Every update through push(): the quarantine sees a fed source
+  // exactly as it sees a pushed one.
+  std::uint64_t accepted = 0;
+  while (const routing::FeedUpdate* update = source.next()) {
+    if (push(*update, 0)) ++accepted;
   }
-  return pipeline_->run(source);
+  return accepted;
 }
 
 void AnalysisSession::drain() {
   require_live("drain()");
   if (closed_ || !started_.load(std::memory_order_acquire)) return;
-  const std::size_t producers =
-      config_.num_producers == 0 ? 1 : config_.num_producers;
-  if (fabric_) {
-    for (std::size_t p = 0; p < producers; ++p) fabric_->flush(p);
-    return;
-  }
-  for (std::size_t p = 0; p < producers; ++p) {
-    pipeline_->producer(p).flush();
-  }
-  // Producers count accepted refs at push, workers count them at
-  // drain; equality means every queue is empty and every sub-update
-  // has reached its shard engine — the drained-cut invariant.
-  while (pipeline_->total_processed() < pipeline_->total_refs_enqueued()) {
-    std::this_thread::yield();
-  }
+  plane_->drain();
 }
 
 void AnalysisSession::close(util::SimTime end_time) {
@@ -481,27 +581,20 @@ void AnalysisSession::close(util::SimTime end_time) {
   // and subscribers still get their final snapshot.
   if (!started_.load(std::memory_order_acquire)) start();
   closed_ = true;
-  if (fabric_) {
-    // Drains every lane, then force-closes each remote slot session at
-    // the cut-off (the distributed finish()).
-    fabric_->close(end_time);
-    return;
-  }
   // Supervision planes stop first: a checkpoint cut racing finish()'s
   // worker join would only ever abandon, and the watchdog would read
   // heartbeats from joining workers.
   if (coordinator_) coordinator_->stop();
   if (watchdog_) watchdog_->stop();
-  // finish() flushes the producers, joins the workers, and force-closes
-  // still-open events — every resulting chunk still flows through the
-  // store listener into the dispatcher before the queue stops.
-  pipeline_->finish(end_time);
+  // Every chunk the close produces still flows through the store
+  // listener into the dispatcher before the queue stops.
+  plane_->close(end_time);
   if (dispatcher_) {
     dispatcher_->request_snapshot();  // final counters, after every event
     dispatcher_->stop();
   }
-  // Seal the segment log last: every chunk has been submitted by
-  // finish(), so stop() drains the queue and leaves the full event set
+  // Seal the segment log last: every chunk has been submitted by the
+  // close, so stop() drains the queue and leaves the full event set
   // durably on disk before close() returns.
   if (spill_) spill_->stop();
 }
@@ -570,26 +663,16 @@ void AnalysisSession::run() {
     closed_ = true;
     return;
   }
-  start();
   stream::VectorSource source(study_->replay_updates());
-  pipeline_->run(source);
+  feed(source);
   close(config_.study.window_end);
 }
 
 std::vector<core::PeerEvent> AnalysisSession::events(
     const EventQuery& query) const {
   std::vector<core::PeerEvent> out;
-  if (fabric_) {
-    // Scatter-gather returns the merged remote set already canonically
-    // sorted; filtering preserves that order.
-    for (auto& e : fabric_->query_events()) {
-      if (query.matches(e)) out.push_back(std::move(e));
-    }
-    return out;
-  }
-  if (live()) {
-    out = pipeline_->store().query(
-        [&query](const core::PeerEvent& e) { return query.matches(e); });
+  if (plane_) {
+    out = plane_->events(query);
   } else if (!reopen()) {
     for (const auto& e : study_->events()) {
       if (query.matches(e)) out.push_back(e);
@@ -611,11 +694,9 @@ std::vector<core::PeerEvent> AnalysisSession::events(
 }
 
 std::size_t AnalysisSession::count(const EventQuery& query) const {
-  if (fabric_) return events(query).size();
   std::size_t n = 0;
-  if (live()) {
-    n = pipeline_->store().count(
-        [&query](const core::PeerEvent& e) { return query.matches(e); });
+  if (plane_) {
+    n = plane_->count(query);
   } else if (!reopen()) {
     for (const auto& e : study_->events()) {
       if (query.matches(e)) ++n;
@@ -665,28 +746,15 @@ std::vector<core::PrefixEvent> AnalysisSession::grouped_events() const {
   return grouper.grouped();
 }
 
-stream::EventStore::Snapshot AnalysisSession::snapshot_of(
-    std::span<const core::PeerEvent> events) const {
-  stream::EventStore::Snapshot snap;
-  bool any = false;
-  for (const auto& e : events) {
-    stream::EventStore::fold_event(snap, any, e);
-  }
-  return snap;
-}
-
 stream::EventStore::Snapshot AnalysisSession::snapshot() const {
   // This session's half: live store counters / batch study fold.
   stream::EventStore::Snapshot snap;
-  bool has_any = false;
-  if (fabric_) return snapshot_of(events());
-  if (live()) {
-    snap = pipeline_->store().snapshot();
-    has_any = snap.total_events > 0;
+  if (plane_) {
+    snap = plane_->snapshot();
   } else if (!reopen()) {
     snap = snapshot_of(study_->events());
-    has_any = snap.total_events > 0;
   }
+  bool has_any = snap.total_events > 0;
   // Disk half from the summary cached at open — the segment snapshot
   // is immutable, so merging never rescans the log.
   if (disk_) {
@@ -713,42 +781,35 @@ core::EngineStats AnalysisSession::stats() const {
   assert(!reopen() && "kReopen has no engine: the segment log persists "
                       "events, not engine state");
   if (reopen()) return {};
-  if (fabric_) return {};  // engines live on the shard servers
   if (!live()) return study_->engine_stats();
+  if (!pipeline_) return {};  // a fabric client's engines are remote
   assert(closed_ && "live stats() requires close(): shard engines are "
                     "readable only after the workers joined");
   return pipeline_->merged_stats();
 }
 
 std::size_t AnalysisSession::open_event_count() const {
-  if (fabric_) return 0;  // open state lives on the shard servers
-  return live() ? pipeline_->open_event_count() : 0;
+  return pipeline_ ? pipeline_->open_event_count() : 0;
 }
 
 std::size_t AnalysisSession::open_at_close() const {
-  if (fabric_) return 0;
-  return live() ? pipeline_->open_at_finish() : 0;
+  return pipeline_ ? pipeline_->open_at_finish() : 0;
 }
 
 std::uint64_t AnalysisSession::updates_pushed() const {
-  if (fabric_) return fabric_->updates_pushed();
-  if (live()) return pipeline_->updates_pushed();
+  if (plane_) return plane_->updates_pushed();
   if (reopen()) return 0;
   return study_->engine_stats().updates_processed;
 }
 
 std::size_t AnalysisSession::num_shards() const {
-  if (reopen()) return 0;
-  if (fabric_) return fabric_->num_slots();
-  return live() ? pipeline_->num_shards() : 1;
+  if (plane_) return plane_->num_shards();
+  return reopen() ? 0 : 1;
 }
 
 bool AnalysisSession::checkpoint_now() {
   require_live("checkpoint_now()");
-  // Fabric: a drained remote cut per slot (every shard server's
-  // durable totals advance to its accepted totals).
-  if (fabric_) return fabric_->checkpoint_all();
-  return coordinator_ && coordinator_->checkpoint_now();
+  return plane_->checkpoint_now();
 }
 
 std::uint64_t AnalysisSession::checkpoints_written() const {

@@ -1,12 +1,7 @@
-// AnalysisSession: the one consumer surface of the library.
-//
-// The paper's measurement loop (GiotsasRSFDB17 §4–§9) — ingest updates,
-// infer per-peer events, correlate them into §9 prefix-event groups,
-// query the result — used to be split across two disjoint surfaces:
-// the batch core::Study (full-window replay, aggregates at the end)
-// and the live stream::StreamPipeline (sharded ingestion, empty
-// EventStore until finalize()).  AnalysisSession subsumes both behind
-// one object model:
+// AnalysisSession: the one consumer surface of the library — the
+// paper's measurement loop (GiotsasRSFDB17 §4–§9: ingest updates, infer
+// per-peer events, correlate them into §9 prefix-event groups, query
+// the result) behind one object model:
 //
 //   api::SessionConfig cfg;                 // source + shards + dictionary
 //   cfg.study.window_start = ...;
@@ -19,20 +14,28 @@
 // Four source modes, one interaction model:
 //   * kBatch      — Study replay through one engine; sinks are fed the
 //                   closed events in close order when run() completes.
-//   * kLiveReplay — the same study workload streamed through the
-//                   sharded zero-copy pipeline; sinks fire while the
-//                   shard workers ingest.  run() = start + feed + close.
-//   * kLiveFeed   — the caller pushes updates (or drains an
+//   * kLiveReplay — the same study workload streamed through the live
+//                   data plane; sinks fire while it ingests.
+//                   run() = start + feed + close.
+//   * kLiveFeed   — the caller pushes updates (or feeds an
 //                   UpdateSource) and closes explicitly: the
 //                   production monitoring shape.
 //   * kReopen     — no ingestion at all: queries served from the
 //                   persistent segment log a previous session wrote to
-//                   `persist_dir` (src/storage/) — the restart-
-//                   survival half of the persistence story.  Any mode
-//                   with `persist_dir` set spills its closed events
-//                   there; `resume` additionally merges the
-//                   directory's prior contents into every query (the
-//                   live+disk view).
+//                   `persist_dir` (src/storage/).  Any mode with
+//                   `persist_dir` set spills its closed events there;
+//                   `resume` additionally merges the directory's prior
+//                   contents into every query (the live+disk view).
+//
+// The live modes run on one data plane (LivePlane, session.cc), chosen
+// at construction and never asked about again: the in-process sharded
+// stream::StreamPipeline, or — with SessionConfig::fabric endpoints —
+// a fabric client whose shard servers run the pipelines.  push(),
+// feed() and kLiveReplay's run() all enter through push(), so the
+// lifecycle checks and the poison quarantine guard both planes alike.
+// Local-only machinery (spill, watchdog, checkpoint coordinator, sink
+// dispatch) hooks into the in-process pipeline and is absent for a
+// fabric client, as it is in kBatch / kReopen.
 //
 // Whatever the mode, the consumer surface is identical: EventSink
 // subscriptions (delivered off the hot path through a bounded
@@ -70,6 +73,8 @@
 #include "util/retry.h"
 
 namespace bgpbh::api {
+
+class LivePlane;  // the live data plane seam, defined in session.cc
 
 struct SessionConfig {
   enum class Mode {
@@ -169,9 +174,9 @@ struct SessionConfig {
   // disables the watchdog thread.
   std::chrono::milliseconds stall_deadline = std::chrono::seconds(2);
   std::chrono::milliseconds watchdog_poll = std::chrono::milliseconds(50);
-  // Poison-update quarantine: push() rejects announcements whose AS
-  // path / community attribute exceeds these (counted per producer,
-  // never silent; see recovery::PoisonQuarantine).  A producer
+  // Poison-update quarantine: push() and feed() reject announcements
+  // whose AS path / community attribute exceeds these (counted per
+  // producer, never silent; see recovery::PoisonQuarantine).  A producer
   // exceeding `poison_error_budget` rejections degrades health().
   std::size_t max_as_path_hops = 1024;
   std::size_t max_communities = 4096;
@@ -184,10 +189,10 @@ struct SessionConfig {
   // (fabric::FabricRouter), and queries scatter-gather the remote
   // event sets — byte-identical to the in-process plane.  Fabric mode
   // requires persist_dir empty (persistence happens server-side),
-  // recover false, and study.table_dump_episodes == 0 (a table dump
-  // would be folded once per remote slot session); violations throw
-  // std::logic_error from the constructor.  The in-process hot path is
-  // untouched when this is empty.
+  // resume and recover false, and study.table_dump_episodes == 0 (a
+  // table dump would be folded once per remote slot session);
+  // violations throw std::logic_error from the constructor.  The
+  // in-process hot path is untouched when this is empty.
   fabric::FabricConfig fabric;
   // Server-side recovery variant (fabric::ShardServer slot sessions):
   // restore the checkpoint as `recover` does, but do NOT arm producer
@@ -349,7 +354,7 @@ class AnalysisSession {
   // The fabric router when this session is a fabric client (null
   // otherwise): rebalance (migrate/add_endpoint) and fleet shutdown
   // live here.
-  fabric::FabricRouter* fabric() { return fabric_.get(); }
+  fabric::FabricRouter* fabric() { return fabric_; }
 
   // ---- persistence gauges (zero / null without persist_dir) ------------
   // Events durably appended to the segment log so far.
@@ -392,8 +397,6 @@ class AnalysisSession {
   void deliver_batch_results();
   // Throws std::logic_error naming `what` when the mode is not live.
   void require_live(const char* what) const;
-  stream::EventStore::Snapshot snapshot_of(
-      std::span<const core::PeerEvent> events) const;
 
   SessionConfig config_;
   // Declared before every component that registers instruments or
@@ -416,20 +419,24 @@ class AnalysisSession {
   std::unique_ptr<storage::SegmentSet> disk_;
   stream::EventStore::Snapshot disk_snapshot_;  // folded once at open
   bool disk_has_any_ = false;
-  // Dispatcher before pipeline: the pipeline's destructor joins shard
-  // workers that may be parked in the dispatcher's bounded queue, so
-  // the dispatcher must be destroyed (stopped) after the pipeline.
+  // Dispatcher before the live plane: the pipeline's destructor joins
+  // shard workers that may be parked in the dispatcher's bounded queue,
+  // so the dispatcher must be destroyed (stopped) after the pipeline.
   std::unique_ptr<SinkDispatcher> dispatcher_;
-  std::unique_ptr<stream::StreamPipeline> pipeline_;
-  // Recovery plane, declared after pipeline_ so destruction stops the
+  // The live data plane (null in kBatch / kReopen), chosen once at
+  // construction: in-process pipeline or fabric client.  pipeline_ /
+  // fabric_ point into it for the plane-specific surfaces (local-only
+  // machinery hooks into pipeline_; fabric() hands out fabric_); each
+  // is null unless plane_ is of that kind.
+  std::unique_ptr<LivePlane> plane_;
+  stream::StreamPipeline* pipeline_ = nullptr;
+  fabric::FabricRouter* fabric_ = nullptr;
+  // Recovery plane, declared after plane_ so destruction stops the
   // coordinator/watchdog threads (whose hooks read pipeline_, spill_,
   // dispatcher_) while those members are still alive.
   std::unique_ptr<recovery::PoisonQuarantine> quarantine_;
   std::unique_ptr<recovery::Watchdog> watchdog_;
   std::unique_ptr<recovery::CheckpointCoordinator> coordinator_;
-  // Fabric client plane (replaces pipeline_/spill_/dispatcher_ when
-  // config_.fabric.enabled()).
-  std::unique_ptr<fabric::FabricRouter> fabric_;
   bool recovered_ = false;
   std::uint64_t recovered_seq_ = 0;
   std::vector<std::uint64_t> recovered_totals_;

@@ -201,11 +201,7 @@ std::uint64_t StreamPipeline::total_refs_enqueued() const {
 }
 
 std::uint64_t StreamPipeline::total_processed() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < workers_.num_shards(); ++i) {
-    total += workers_.processed(i);
-  }
-  return total;
+  return workers_.processed_count();
 }
 
 core::EngineStats StreamPipeline::merged_stats() const {

@@ -190,9 +190,13 @@ void WorkerPool::capture_rendezvous(Shard& shard) {
   ShardCapture& slot = capture_slots_[shard.index];
   slot.open_state = shard.engine->export_open_state();
   slot.watermarks = shard.watermarks;
+  // Wait for THIS capture's release: a flag would be re-armed by the
+  // next capture if it took the mutex before this worker re-checked,
+  // parking the worker inside a capture that already ended.
+  const std::uint64_t gen = release_gen_;
   ++arrived_;
   rendezvous_cv_.notify_all();
-  rendezvous_cv_.wait(lock, [&] { return released_ || shutdown_; });
+  rendezvous_cv_.wait(lock, [&] { return release_gen_ != gen || shutdown_; });
 }
 
 bool WorkerPool::capture(const std::function<void()>& while_quiesced,
@@ -215,7 +219,6 @@ bool WorkerPool::capture(const std::function<void()>& while_quiesced,
   if (shutdown_) return false;
   capture_active_ = true;
   arrived_ = 0;
-  released_ = false;
   capture_requested_.store(true, std::memory_order_release);
   rendezvous_cv_.wait(
       lock, [&] { return arrived_ == shards_.size() || shutdown_; });
@@ -227,7 +230,7 @@ bool WorkerPool::capture(const std::function<void()>& while_quiesced,
   }
   capture_active_ = false;
   capture_requested_.store(false, std::memory_order_release);
-  released_ = true;
+  ++release_gen_;
   rendezvous_cv_.notify_all();
   return ok;
 }

@@ -193,7 +193,7 @@ class WorkerPool {
   std::vector<ShardCapture> capture_slots_;
   std::size_t arrived_ = 0;
   bool capture_active_ = false;
-  bool released_ = false;
+  std::uint64_t release_gen_ = 0;  // bumped as each capture releases
   bool shutdown_ = false;
   std::atomic<bool> capture_requested_{false};
 };

@@ -5,6 +5,8 @@
 //     property (slots either stay put or move to the new endpoint),
 //   * control-plane smoke over a real socket: HELLO negotiation +
 //     HEALTH against a fork/exec'd shard_server,
+//   * the fabric-client session contract (no server needed): refused
+//     local-only knobs, inert local-only surfaces, "fabric" health,
 //   * the headline grid: the full deterministic workload pushed
 //     through fabric clients against live shard-server processes, the
 //     scatter-gathered event set byte-identical to the in-process
@@ -408,6 +410,57 @@ TEST(FabricRouterHello, RefusedHelloFailsAtOnceWithServerText) {
   listener->shutdown();
   server.join();
   EXPECT_EQ(accepts.load(), 2);
+}
+
+// ---- fabric-client session contract -----------------------------------
+
+// The AnalysisSession surface of a fabric client, pinned without a
+// server: FabricRouter dials lazily, so nothing here touches a socket.
+api::SessionConfig fabric_client_config() {
+  api::SessionConfig config;
+  config.mode = api::SessionConfig::Mode::kLiveFeed;
+  config.study = study_config();
+  config.num_shards = 5;
+  config.fabric.endpoints = {FabricEndpoint{"127.0.0.1", 1}};
+  return config;
+}
+
+TEST(FabricClientContract, ConstructorRefusesLocalOnlyKnobs) {
+  using Mode = api::SessionConfig::Mode;
+  for (Mode mode : {Mode::kBatch, Mode::kLiveReplay}) {
+    api::SessionConfig config = fabric_client_config();
+    config.mode = mode;
+    EXPECT_THROW(api::AnalysisSession{config}, std::logic_error);
+  }
+  api::SessionConfig persist = fabric_client_config();
+  persist.persist_dir = temp_dir("bgpbh_fabric_contract");
+  EXPECT_THROW(api::AnalysisSession{persist}, std::logic_error);
+  api::SessionConfig resume = fabric_client_config();
+  resume.resume = true;
+  EXPECT_THROW(api::AnalysisSession{resume}, std::logic_error);
+  api::SessionConfig recover = fabric_client_config();
+  recover.recover = true;
+  EXPECT_THROW(api::AnalysisSession{recover}, std::logic_error);
+  api::SessionConfig dump = fabric_client_config();
+  dump.study.table_dump_episodes = 1;
+  EXPECT_THROW(api::AnalysisSession{dump}, std::logic_error);
+  EXPECT_FALSE(fs::exists(persist.persist_dir));
+}
+
+TEST(FabricClientContract, LocalOnlySurfacesAreInertAndHealthNamesTheFabric) {
+  api::AnalysisSession session(fabric_client_config());
+  ASSERT_NE(session.fabric(), nullptr);
+  api::EventSink sink;
+  EXPECT_FALSE(session.subscribe(sink));
+  EXPECT_EQ(session.stats(), core::EngineStats{});
+  EXPECT_EQ(session.open_event_count(), 0u);
+  EXPECT_EQ(session.open_at_close(), 0u);
+  EXPECT_EQ(session.num_shards(), 5u);
+  EXPECT_EQ(session.updates_pushed(), 0u);
+  const api::SessionHealth health = session.health();
+  const api::ComponentHealth* fabric = health.find("fabric");
+  ASSERT_NE(fabric, nullptr);
+  EXPECT_EQ(fabric->state, api::HealthState::kHealthy);
 }
 
 // ---- the headline grid ------------------------------------------------

@@ -8,14 +8,16 @@
 //     any retention budget,
 //   * Watchdog stall detection via the scan_once seam (idle silence
 //     never alarms; silence with backlog does; recovery clears it),
-//   * PoisonQuarantine: adversarial updates rejected at push() with
-//     per-producer accounting and an error-budget health signal,
+//   * PoisonQuarantine: adversarial updates rejected at push() and
+//     feed() with per-producer accounting and an error-budget health
+//     signal,
 //   * in-process checkpoint/recover round trip: byte-identical event
 //     set vs an uncrashed baseline, and
 //   * the headline kill grid: fork/exec crash_child, SIGKILL it
 //     mid-stream (twice), recover to completion, and assert the
 //     persisted event set is byte-identical to the uncrashed baseline
-//     across shard counts {1,3,8} x producer counts {1,3}.
+//     across shard counts {1,3,8} x producer counts {1,3}; a child
+//     that outlives its deadline fails the grid cell as hung.
 #include "recovery/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +40,7 @@
 #include "storage/segment_reader.h"
 #include "storage/segment_writer.h"
 #include "stream/pipeline.h"
+#include "wait_child.h"
 
 namespace bgpbh::recovery {
 namespace {
@@ -480,6 +483,26 @@ TEST(PoisonQuarantineSession, PushRejectsPoisonWithoutTouchingState) {
   EXPECT_EQ(session.updates_pushed(), baseline().updates.size());
 }
 
+TEST(PoisonQuarantineSession, FeedRejectsPoisonLikePush) {
+  api::SessionConfig config;
+  config.mode = api::SessionConfig::Mode::kLiveFeed;
+  config.study = study_config();
+  config.num_shards = 2;
+  config.max_as_path_hops = 64;
+  api::AnalysisSession session(config);
+  std::vector<FeedUpdate> poison = {absurd_path_update(65)};
+  stream::VectorSource poisoned(poison);
+  EXPECT_EQ(session.feed(poisoned), 0u);
+  EXPECT_EQ(session.poison_rejected(), 1u);
+  EXPECT_EQ(session.updates_pushed(), 0u);
+  // The clean remainder yields exactly the baseline (pushed) event set.
+  stream::VectorSource clean(baseline().updates);
+  EXPECT_EQ(session.feed(clean), baseline().updates.size());
+  session.close(study_config().window_end);
+  EXPECT_TRUE(session.events() == baseline().events);
+  EXPECT_EQ(session.poison_rejected(), 1u);
+}
+
 // ---- in-process checkpoint / recover round trip ------------------------
 
 TEST(RecoveryRoundTrip, CheckpointMidStreamThenRecoverIsByteIdentical) {
@@ -612,9 +635,19 @@ int run_child(const std::string& dir, std::size_t shards,
     execv(child.c_str(), argv);
     _exit(127);
   }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return status;
+  // ~0.5 s per run in Release; a child still alive after the deadline
+  // is hung, not slow.  Its kill must not pass for the expected crash,
+  // so report it and return a status that is neither signaled nor
+  // exited, which every caller's check rejects.
+  constexpr std::chrono::seconds kDeadline{300};
+  if (std::optional<int> status = tests::wait_child(pid, kDeadline)) {
+    return *status;
+  }
+  ADD_FAILURE() << "crash_child hung: " << dir << " " << shards << " "
+                << producers << " " << checkpoint_every << " " << checkpoint_at
+                << " " << kill_after << " (killed after " << kDeadline.count()
+                << " s)";
+  return -1;
 }
 
 TEST(CrashKillGrid, SigkillMidStreamRecoversByteIdentically) {

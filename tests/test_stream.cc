@@ -5,10 +5,14 @@
 //   * event store snapshot and window queries,
 //   * the equivalence contract: the sharded pipeline produces the exact
 //     canonical event set and merged stats of a sequential engine, for
-//     any shard count, on a Study-generated workload.
+//     any shard count, on a Study-generated workload,
+//   * the checkpoint rendezvous: back-to-back captures under load never
+//     strand a worker (run in a child process under a deadline).
 #include "stream/pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -20,6 +24,7 @@
 #include "core/study.h"
 #include "stream/source.h"
 #include "stream/spsc_queue.h"
+#include "wait_child.h"
 
 namespace bgpbh::stream {
 namespace {
@@ -651,6 +656,58 @@ TEST(StreamPipeline, StoreSnapshotConsistentAfterFinish) {
   // After finish() the pipeline rejects — and does not count — pushes.
   EXPECT_FALSE(pipeline.push(f.updates.front()));
   EXPECT_EQ(pipeline.updates_pushed(), f.updates.size());
+}
+
+// ---- checkpoint rendezvous --------------------------------------------
+
+// Back-to-back captures from two threads while a producer pushes into
+// a 1-shard pipeline whose small queue keeps the producer blocking.
+// A worker released from one capture must never be parked again by the
+// next capture arming before it re-checked its wait: that lost wakeup
+// left the next capture waiting forever for the worker and the
+// producer blocked on the full queue.  The run happens in a forked
+// child under a deadline so a hang fails the test instead of stalling
+// the suite; the event set must still equal the sequential engine's.
+TEST(CaptureRendezvous, BackToBackCapturesNeverLoseTheRelease) {
+  auto& f = fixture();
+  const auto seq = sequential_events(nullptr);
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    PipelineConfig config;
+    config.num_shards = 1;
+    config.queue_capacity = 64;
+    StreamPipeline pipeline(f.study->dictionary(), f.study->registry(),
+                            config);
+    if (auto dump = f.study->initial_table_dump()) {
+      pipeline.init_from_table_dump(Platform::kRis, *dump);
+    }
+    pipeline.start();
+    std::atomic<bool> pushing{true};
+    std::atomic<int> failed_captures{0};
+    // At least kMinCaptures each, however the threads get scheduled.
+    constexpr int kMinCaptures = 50;
+    auto cutter = [&] {
+      std::vector<ShardCapture> out;
+      for (int i = 0; i < kMinCaptures || pushing.load(); ++i) {
+        if (!pipeline.capture({}, out)) failed_captures.fetch_add(1);
+      }
+    };
+    std::thread a(cutter), b(cutter);
+    for (const auto& u : f.updates) pipeline.push(u);
+    pipeline.flush();
+    pushing.store(false, std::memory_order_release);
+    a.join();
+    b.join();
+    pipeline.finish(f.config.window_end);
+    if (failed_captures.load() != 0) _exit(2);
+    _exit(pipeline.store().events() == seq ? 0 : 1);
+  }
+  std::optional<int> status = tests::wait_child(pid, std::chrono::seconds(120));
+  ASSERT_TRUE(status.has_value()) << "capture rendezvous hung";
+  ASSERT_TRUE(WIFEXITED(*status)) << "child died, status " << *status;
+  EXPECT_EQ(WEXITSTATUS(*status), 0)
+      << "1: event set diverged; 2: a capture failed";
 }
 
 // ---- FleetSource ------------------------------------------------------
