@@ -3,8 +3,8 @@
 // use — observation window, blackholing provider, collector platform,
 // exact prefix or supernet, blackholing user, arbitrary predicate —
 // and the session evaluates it with identical semantics against the
-// batch event set, the live per-shard store lanes, and the finalized
-// store (the lane-consistent scan in stream::EventStore::query).
+// batch event set and the per-shard store lanes (the predicate scan in
+// stream::EventStore::query).
 //
 //   auto events = session.events(api::EventQuery()
 //                                    .between(t0, t1)
@@ -30,7 +30,7 @@ class EventQuery {
   EventQuery() = default;
 
   // Events overlapping [t0, t1) — core::overlaps_window, the same rule
-  // as Study::events_in and EventStore::events_in.
+  // as Study::events_in.
   EventQuery& between(util::SimTime t0, util::SimTime t1);
 
   // Events of one blackholing provider (ISP or IXP).

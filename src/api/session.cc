@@ -25,8 +25,7 @@ stream::PipelineConfig pipeline_config(const SessionConfig& config) {
 stream::EventStore::Snapshot snapshot_of(
     std::span<const core::PeerEvent> events) {
   stream::EventStore::Snapshot snap;
-  bool any = false;
-  for (const auto& e : events) stream::EventStore::fold_event(snap, any, e);
+  for (const auto& e : events) stream::EventStore::fold_event(snap, e);
   return snap;
 }
 
@@ -163,8 +162,7 @@ AnalysisSession::AnalysisSession(SessionConfig config)
     : config_(std::move(config)),
       study_(config_.mode == SessionConfig::Mode::kReopen
                  ? nullptr
-                 : std::make_unique<core::Study>(config_.study)),
-      grouper_(config_.correlate_tolerance, config_.group_timeout) {
+                 : std::make_unique<core::Study>(config_.study)) {
   assert((!reopen() || !config_.persist_dir.empty()) &&
          "kReopen requires persist_dir");
   // Health plane: one gauge refreshed on every telemetry snapshot.
@@ -258,7 +256,6 @@ AnalysisSession::AnalysisSession(SessionConfig config)
     storage::SpillConfig spill_config;
     spill_config.dir = config_.persist_dir;
     spill_config.segment = config_.segment;
-    spill_config.queue_chunks = config_.spill_queue_chunks;
     spill_config.retry = config_.spill_retry;
     spill_config.metrics = &metrics_;
     spill_ = storage::SpillWriter::open(std::move(spill_config));
@@ -280,7 +277,7 @@ AnalysisSession::AnalysisSession(SessionConfig config)
     // Fold the disk summary streamingly — one segment block in memory
     // at a time, never the whole archive.
     disk_->for_each([this](const core::PeerEvent& e) {
-      stream::EventStore::fold_event(disk_snapshot_, disk_has_any_, e);
+      stream::EventStore::fold_event(disk_snapshot_, e);
     });
   }
   if (reopen()) {
@@ -352,7 +349,6 @@ AnalysisSession::AnalysisSession(SessionConfig config)
             [this, i] { return pipeline_->shard_queue_depth(i); }});
       }
       recovery::WatchdogConfig wc;
-      wc.poll = config_.watchdog_poll;
       wc.stall_deadline = config_.stall_deadline;
       wc.metrics = &metrics_;
       watchdog_ = std::make_unique<recovery::Watchdog>(std::move(watched), wc);
@@ -724,24 +720,20 @@ std::vector<core::PrefixEvent> AnalysisSession::prefix_events() const {
   // but a resume session's grouper only saw this session's stream, so
   // fall through to the recompute when a disk half exists.
   if (dispatching() && !disk_) return grouper_.correlated();
-  if (config_.mode == SessionConfig::Mode::kBatch && default_grouping() &&
-      !disk_) {
+  if (config_.mode == SessionConfig::Mode::kBatch && !disk_) {
     return study_->prefix_events();
   }
-  core::IncrementalGrouper grouper(config_.correlate_tolerance,
-                                   config_.group_timeout);
+  core::IncrementalGrouper grouper;
   for (const auto& e : events()) grouper.add(e);
   return grouper.correlated();
 }
 
 std::vector<core::PrefixEvent> AnalysisSession::grouped_events() const {
   if (dispatching() && !disk_) return grouper_.grouped();
-  if (config_.mode == SessionConfig::Mode::kBatch && default_grouping() &&
-      !disk_) {
+  if (config_.mode == SessionConfig::Mode::kBatch && !disk_) {
     return study_->grouped_events();
   }
-  core::IncrementalGrouper grouper(config_.correlate_tolerance,
-                                   config_.group_timeout);
+  core::IncrementalGrouper grouper;
   for (const auto& e : events()) grouper.add(e);
   return grouper.grouped();
 }
@@ -754,12 +746,9 @@ stream::EventStore::Snapshot AnalysisSession::snapshot() const {
   } else if (!reopen()) {
     snap = snapshot_of(study_->events());
   }
-  bool has_any = snap.total_events > 0;
   // Disk half from the summary cached at open — the segment snapshot
   // is immutable, so merging never rescans the log.
-  if (disk_) {
-    stream::EventStore::fold(snap, has_any, disk_snapshot_, disk_has_any_);
-  }
+  if (disk_) stream::EventStore::fold(snap, disk_snapshot_);
   return snap;
 }
 

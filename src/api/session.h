@@ -40,11 +40,11 @@
 // Whatever the mode, the consumer surface is identical: EventSink
 // subscriptions (delivered off the hot path through a bounded
 // SinkDispatcher — zero sinks means the pipeline hot path is
-// untouched), EventQuery reads (identical results from live per-shard
-// lanes or the finalized/batch event set, canonically sorted), and the
-// incremental §9 layers (prefix_events()/grouped_events(), maintained
-// by the built-in LiveGrouper and byte-equivalent to batch
-// correlate()+group_events() on the same stream).
+// untouched), EventQuery reads (from the live per-shard store lanes or
+// the batch event set, canonically sorted), and the incremental §9
+// layers (prefix_events()/grouped_events(), maintained by the built-in
+// LiveGrouper and byte-equivalent to batch correlate()+group_events()
+// on the same stream).
 #pragma once
 
 #include <atomic>
@@ -97,12 +97,6 @@ struct SessionConfig {
   std::size_t drain_batch = 256;
   std::size_t batch_size = 64;
 
-  // §9 grouping parameters (LiveGrouper; the correlate tolerance must
-  // not exceed the grouping timeout — a shorter timeout is raised to
-  // the tolerance, and debug builds assert).
-  util::SimTime correlate_tolerance = core::kCorrelateTolerance;
-  util::SimTime group_timeout = core::kGroupTimeout;
-
   // Sink dispatch: bounded queue depth in sealed chunks (a full queue
   // blocks ingest — backpressure, never loss), and an optional
   // snapshot cadence (every N delivered events; 0 = only final/manual).
@@ -129,9 +123,6 @@ struct SessionConfig {
   bool resume = false;
   // Segment roll / sparse-index / fsync / retention knobs.
   storage::SegmentConfig segment;
-  // Bounded spill queue depth in chunks (full = ingest blocks:
-  // backpressure, never loss — the pipeline-wide contract).
-  std::size_t spill_queue_chunks = 256;
 
   // ---- fault tolerance (src/fault/ exercises these) --------------------
   // Spill-writer disk-fault handling: transient append/sync failures
@@ -173,7 +164,6 @@ struct SessionConfig {
   // raises the recovery.watchdog.stalled_shards alarm gauge.  0
   // disables the watchdog thread.
   std::chrono::milliseconds stall_deadline = std::chrono::seconds(2);
-  std::chrono::milliseconds watchdog_poll = std::chrono::milliseconds(50);
   // Poison-update quarantine: push() and feed() reject announcements
   // whose AS path / community attribute exceeds these (counted per
   // producer, never silent; see recovery::PoisonQuarantine).  A producer
@@ -321,8 +311,8 @@ class AnalysisSession {
 
   // ---- queries ---------------------------------------------------------
   // Peer-granularity events matching `query`, canonically sorted.
-  // Identical result sets from live lanes (mid-run) and the finalized
-  // store; in kBatch, from the study's event set.
+  // Live modes read the store's lanes, mid-run or after close(); in
+  // kBatch, the study's event set.
   std::vector<core::PeerEvent> events(const EventQuery& query = {}) const;
   std::size_t count(const EventQuery& query = {}) const;
 
@@ -333,7 +323,7 @@ class AnalysisSession {
   std::vector<core::PrefixEvent> prefix_events() const;
   std::vector<core::PrefixEvent> grouped_events() const;
 
-  // Aggregate counters now (live: lane-consistent store snapshot).
+  // Aggregate counters now (live: folded from the store lanes).
   stream::EventStore::Snapshot snapshot() const;
   // Queue an on_snapshot delivery to the sinks, ordered with the event
   // stream (delivered inline when no dispatch thread is running).
@@ -384,10 +374,6 @@ class AnalysisSession {
     return config_.mode == SessionConfig::Mode::kLiveReplay ||
            config_.mode == SessionConfig::Mode::kLiveFeed;
   }
-  bool default_grouping() const {
-    return config_.correlate_tolerance == core::kCorrelateTolerance &&
-           config_.group_timeout == core::kGroupTimeout;
-  }
   // True when the dispatch thread owns sink delivery and grouper_ is
   // being fed.  Races with a concurrent lazy start are resolved by
   // reading started_ (release-stored after the dispatcher is fully
@@ -418,7 +404,6 @@ class AnalysisSession {
   std::unique_ptr<storage::SpillWriter> spill_;
   std::unique_ptr<storage::SegmentSet> disk_;
   stream::EventStore::Snapshot disk_snapshot_;  // folded once at open
-  bool disk_has_any_ = false;
   // Dispatcher before the live plane: the pipeline's destructor joins
   // shard workers that may be parked in the dispatcher's bounded queue,
   // so the dispatcher must be destroyed (stopped) after the pipeline.

@@ -14,6 +14,11 @@ namespace bgpbh::fabric {
 
 namespace {
 
+// Unacked APPEND frames per lane before the producer blocks on acks.
+constexpr std::size_t kMaxInflight = 4;
+// Sub-updates per APPEND frame.
+constexpr std::size_t kBatchSubs = 64;
+
 std::string describe_endpoint(const FabricEndpoint& ep) {
   return ep.host + ":" + std::to_string(ep.port);
 }
@@ -31,8 +36,6 @@ FabricRouter::FabricRouter(FabricConfig config, std::size_t num_slots,
   if (endpoints_.empty()) {
     throw std::invalid_argument("fabric: FabricRouter needs >= 1 endpoint");
   }
-  if (config_.batch_subs == 0) config_.batch_subs = 1;
-  if (config_.max_inflight == 0) config_.max_inflight = 1;
   slot_mu_.reserve(num_slots_);
   lanes_.reserve(num_slots_ * num_producers_);
   for (std::size_t s = 0; s < num_slots_; ++s) {
@@ -238,7 +241,7 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   std::uint64_t idx = accepted;
   while (idx < ln.sent) {
     std::size_t count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(config_.batch_subs, ln.sent - idx));
+        std::min<std::uint64_t>(kBatchSubs, ln.sent - idx));
     net::BufWriter w = append_body(
         ln, slot, p, next_trace_id_.fetch_add(1, std::memory_order_relaxed),
         idx, count);
@@ -253,7 +256,7 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
     ++ln.unacked;
     inflight_total_.fetch_add(1, std::memory_order_relaxed);
     idx += count;
-    while (ln.unacked >= config_.max_inflight) {
+    while (ln.unacked >= kMaxInflight) {
       if (!read_ack(ln)) return false;
     }
   }
@@ -310,7 +313,7 @@ void FabricRouter::send_batch(Lane& ln, std::size_t slot, std::size_t p) {
     inflight_->set(
         static_cast<double>(inflight_total_.load(std::memory_order_relaxed)));
   }
-  while (ln.unacked >= config_.max_inflight) recv_one_ack(ln, slot, p);
+  while (ln.unacked >= kMaxInflight) recv_one_ack(ln, slot, p);
 }
 
 void FabricRouter::drain_lane(Lane& ln, std::size_t slot, std::size_t p) {
@@ -324,7 +327,7 @@ void FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
   net::BufWriter w;
   encode_sub_update(sub, w);
   ln.pending.push_back(w.take());
-  if (ln.pending.size() >= config_.batch_subs) send_batch(ln, slot, p);
+  if (ln.pending.size() >= kBatchSubs) send_batch(ln, slot, p);
 }
 
 bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {

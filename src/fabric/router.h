@@ -9,7 +9,7 @@
 //     stream::split_update — the in-process ShardRouter's splitter, so
 //     per-key transition order is identical to the in-process plane,
 //   * batches them per (slot, producer) lane into APPEND frames with a
-//     bounded in-flight window (at most `max_inflight` unacked frames
+//     bounded in-flight window (at most kMaxInflight unacked frames
 //     per lane; a full window blocks the producer — backpressure,
 //     never loss),
 //   * survives connection loss ReconnectingSource-style: redial with
@@ -74,10 +74,6 @@ struct FabricConfig {
   // mode: SessionConfig::num_shards becomes the global slot count and
   // every push is routed to the slot's shard server.
   std::vector<FabricEndpoint> endpoints;
-  // Unacked APPEND frames per lane before the producer blocks on acks.
-  std::size_t max_inflight = 4;
-  // Sub-updates per APPEND frame.
-  std::size_t batch_subs = 64;
   // Redial backoff on connection loss.  More patient than the default
   // policy: a crashed shard server needs time to recover its slots.
   util::RetryPolicy reconnect{

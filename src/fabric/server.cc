@@ -4,11 +4,11 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "storage/file_ops.h"
 #include "storage/record_codec.h"
 #include "storage/wire.h"
 #include "telemetry/fleet.h"
@@ -478,13 +478,9 @@ bool ShardServer::handle_handoff_fetch(TcpConn& conn,
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(slot_dir(slot_id), ec)) {
     if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in) return send_error(conn, "unreadable slot file");
-    HandoffFile f;
-    f.name = entry.path().filename().string();
-    f.bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    files.push_back(std::move(f));
+    auto bytes = storage::read_file(entry.path());
+    if (!bytes) return send_error(conn, "unreadable slot file");
+    files.push_back({entry.path().filename().string(), std::move(*bytes)});
   }
   if (ec) return send_error(conn, "unreadable slot directory");
   net::BufWriter out;
@@ -512,13 +508,15 @@ bool ShardServer::handle_handoff_install(
   std::error_code ec;
   fs::remove_all(dir, ec);
   fs::create_directories(dir, ec);
-  if (ec) return send_error(conn, "could not create slot directory");
+  if (ec || !storage::sync_dir(fs::path(dir).parent_path())) {
+    return send_error(conn, "could not create slot directory");
+  }
+  // Durable before the ack: on it the router flips the route and the
+  // source releases the slot, so these files become its only copy.
   for (const auto& f : *files) {
-    std::ofstream out(dir + "/" + f.name, std::ios::binary);
-    if (!out) return send_error(conn, "could not write slot file");
-    out.write(reinterpret_cast<const char*>(f.bytes.data()),
-              static_cast<std::streamsize>(f.bytes.size()));
-    if (!out) return send_error(conn, "short write installing slot file");
+    if (!storage::write_file_atomic(fs::path(dir) / f.name, f.bytes)) {
+      return send_error(conn, "could not write slot file");
+    }
   }
   s.released = false;
   open_slot_session_locked(s, slot_id);

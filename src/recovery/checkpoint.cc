@@ -1,13 +1,10 @@
 #include "recovery/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
+#include "storage/file_ops.h"
 #include "storage/format.h"
 #include "storage/record_codec.h"
 #include "util/crc32.h"
@@ -161,58 +158,6 @@ bool decode_prefix_events(net::BufReader& in,
     out.push_back(std::move(*e));
   }
   return true;
-}
-
-bool sync_dir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
-// Durable whole-file write: tmp + fsync + rename + dir fsync.  A crash
-// at any point leaves either the old file or the new one, never a torn
-// mix visible under the final name.
-bool write_file_atomic(const fs::path& final_path,
-                       std::span<const std::uint8_t> bytes) {
-  fs::path tmp = final_path;
-  tmp += ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) return false;
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  ok = (std::fclose(f) == 0) && ok;
-  std::error_code ec;
-  if (!ok) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return sync_dir(final_path.parent_path().string());
-}
-
-std::optional<std::vector<std::uint8_t>> read_file(const fs::path& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return std::nullopt;
-  }
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  bool ok = bytes.empty() ||
-            std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  std::fclose(f);
-  if (!ok) return std::nullopt;
-  return bytes;
 }
 
 // All checkpoint files in `dir`, newest first.
@@ -389,8 +334,8 @@ bool write_checkpoint(const std::string& dir, const Checkpoint& cp,
   std::error_code ec;
   fs::create_directories(dir, ec);
   auto bytes = encode_checkpoint_file(cp);
-  if (!write_file_atomic(fs::path(dir) / checkpoint_file_name(cp.seq),
-                         bytes)) {
+  if (!storage::write_file_atomic(
+          fs::path(dir) / checkpoint_file_name(cp.seq), bytes)) {
     return false;
   }
   prune_checkpoints(dir, keep == 0 ? 1 : keep);
@@ -400,7 +345,7 @@ bool write_checkpoint(const std::string& dir, const Checkpoint& cp,
 std::optional<LoadResult> load_latest_checkpoint(const std::string& dir) {
   LoadResult result;
   for (const auto& [seq, path] : list_checkpoints(dir)) {
-    auto bytes = read_file(path);
+    auto bytes = storage::read_file(path);
     if (bytes) {
       auto cp = decode_checkpoint_file(*bytes);
       if (cp) {
@@ -435,17 +380,17 @@ bool truncate_log(const std::string& dir, storage::DurablePos pos) {
   }
   for (const fs::path& path : to_delete) fs::remove(path, ec);
   if (!saw_boundary_segment) {
-    if (!to_delete.empty()) sync_dir(dir);
+    if (!to_delete.empty()) storage::sync_dir(dir);
     // The active segment is created lazily, so its absence is only
     // consistent with a position that claims no records in it.
     return pos.records == 0;
   }
   if (pos.records == 0) {
     fs::remove(boundary, ec);
-    sync_dir(dir);
+    storage::sync_dir(dir);
     return !ec;
   }
-  auto bytes = read_file(boundary);
+  auto bytes = storage::read_file(boundary);
   if (!bytes || !storage::check_segment_header(*bytes)) return false;
   net::BufReader in(
       std::span<const std::uint8_t>(*bytes).subspan(
@@ -464,12 +409,12 @@ bool truncate_log(const std::string& dir, storage::DurablePos pos) {
   if (kept < pos.records) return false;
   const std::size_t keep_bytes = storage::kSegmentHeaderBytes + end_off;
   if (keep_bytes == bytes->size()) {
-    if (!to_delete.empty()) sync_dir(dir);
+    if (!to_delete.empty()) storage::sync_dir(dir);
     return true;  // already exactly the durable prefix (unsealed)
   }
   // Rewrite footer-less: SegmentWriter::open's torn-segment recovery
   // rescans and reseals on the next open.
-  return write_file_atomic(
+  return storage::write_file_atomic(
       boundary, std::span<const std::uint8_t>(*bytes).first(keep_bytes));
 }
 

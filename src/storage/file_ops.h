@@ -13,7 +13,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
+#include <span>
+#include <vector>
 
 namespace bgpbh::storage {
 
@@ -36,5 +41,22 @@ class FileOps {
 // The shared pass-through instance used when SegmentConfig::file_ops
 // is null.
 FileOps& real_file_ops();
+
+// Whole-file helpers for small state files (checkpoints, fabric slot
+// handoff), outside the FileOps seam.
+//
+// fsync()s a directory, making the entries created or renamed in it
+// durable.
+bool sync_dir(const std::filesystem::path& dir);
+
+// Durable whole-file write: tmp + fsync + rename + dir fsync.  A crash
+// at any point leaves either the old file or the new one, never a torn
+// mix visible under the final name.
+bool write_file_atomic(const std::filesystem::path& final_path,
+                       std::span<const std::uint8_t> bytes);
+
+// The whole file, or nullopt if it cannot be opened or read.
+std::optional<std::vector<std::uint8_t>> read_file(
+    const std::filesystem::path& path);
 
 }  // namespace bgpbh::storage

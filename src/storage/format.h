@@ -51,8 +51,6 @@ inline constexpr std::uint8_t kRecordVersion = 1;
 
 inline constexpr std::size_t kSegmentHeaderBytes = 8;
 inline constexpr std::size_t kTrailerBytes = 12;
-// magic(2) + version(1) + payload_len(4) ... crc(4).
-inline constexpr std::size_t kRecordOverheadBytes = 11;
 
 // Decoder hard cap on one record's payload, so a corrupted length
 // field can never trigger a giant allocation.

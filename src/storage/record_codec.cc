@@ -161,15 +161,4 @@ std::optional<core::PeerEvent> decode_record(net::BufReader& in) {
   return event;
 }
 
-std::size_t encoded_record_size(const core::PeerEvent& event) {
-  std::size_t payload = 1 +                                  // platform
-                        (event.peer.peer_ip.is_v4() ? 5 : 17) + 4 +
-                        (event.prefix.is_v4() ? 5 : 17) + 1 +
-                        (1 + 4 + 4) +                        // provider
-                        4 + 1 + 4 + 8 + 8 + 1 +  // user..flags
-                        2 + 4 * event.communities.classic().size() +
-                        2 + 12 * event.communities.large().size();
-  return payload + kRecordOverheadBytes;
-}
-
 }  // namespace bgpbh::storage

@@ -31,9 +31,6 @@ std::optional<core::PeerEvent> decode_record(net::BufReader& in);
 void encode_event_payload(const core::PeerEvent& event, net::BufWriter& out);
 std::optional<core::PeerEvent> decode_event_payload(net::BufReader& in);
 
-// Exact framed size of one event, for segment-roll accounting.
-std::size_t encoded_record_size(const core::PeerEvent& event);
-
 // Shared IP / prefix primitives, reused by the checkpoint codec
 // (src/recovery/) so both on-disk formats reject the same malformed
 // inputs (unknown family, host bits set past the prefix length).

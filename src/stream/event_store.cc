@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace bgpbh::stream {
 
@@ -13,31 +14,26 @@ EventStore::EventStore(std::size_t lanes) {
   }
 }
 
-void EventStore::fold_event(Snapshot& into, bool& into_has_any,
-                            const core::PeerEvent& event) {
+void EventStore::fold_event(Snapshot& into, const core::PeerEvent& event) {
+  if (into.total_events == 0 || event.start < into.first_start) {
+    into.first_start = event.start;
+  }
+  if (into.total_events == 0 || event.end > into.last_end) {
+    into.last_end = event.end;
+  }
   into.total_events += 1;
   into.per_provider[event.provider] += 1;
   into.per_platform[event.platform] += 1;
-  if (!into_has_any || event.start < into.first_start) {
-    into.first_start = event.start;
-  }
-  if (!into_has_any || event.end > into.last_end) {
-    into.last_end = event.end;
-  }
-  into_has_any = true;
 }
 
-void EventStore::count_events(Lane& lane,
-                              const std::vector<core::PeerEvent>& events) {
-  for (const auto& e : events) {
-    fold_event(lane.counters, lane.has_any, e);
+void EventStore::fold(Snapshot& into, const Snapshot& from) {
+  if (from.total_events == 0) return;
+  if (into.total_events == 0 || from.first_start < into.first_start) {
+    into.first_start = from.first_start;
   }
-  lane.event_count += events.size();
-}
-
-void EventStore::fold(Snapshot& into, bool& into_has_any, const Snapshot& from,
-                      bool from_has_any) {
-  if (!from_has_any) return;
+  if (into.total_events == 0 || from.last_end > into.last_end) {
+    into.last_end = from.last_end;
+  }
   into.total_events += from.total_events;
   for (const auto& [provider, n] : from.per_provider) {
     into.per_provider[provider] += n;
@@ -45,13 +41,6 @@ void EventStore::fold(Snapshot& into, bool& into_has_any, const Snapshot& from,
   for (const auto& [platform, n] : from.per_platform) {
     into.per_platform[platform] += n;
   }
-  if (!into_has_any || from.first_start < into.first_start) {
-    into.first_start = from.first_start;
-  }
-  if (!into_has_any || from.last_end > into.last_end) {
-    into.last_end = from.last_end;
-  }
-  into_has_any = true;
 }
 
 void EventStore::set_chunk_listener(ChunkListener listener) {
@@ -90,151 +79,60 @@ void EventStore::ingest_chunk(std::size_t lane_index,
   Lane& lane = *lanes_[lane_index];
   {
     std::lock_guard<std::mutex> lock(lane.mu);
-    count_events(lane, chunk);
+    for (const auto& e : chunk) fold_event(lane.counters, e);
     lane.chunks.push_back(std::move(chunk));
   }
   if (spill_listener_) spill_listener_(lane_index, std::move(spilled));
   if (chunk_listener_) chunk_listener_(lane_index, std::move(observed));
 }
 
-void EventStore::ingest(std::vector<core::PeerEvent> events) {
-  ingest_chunk(0, std::move(events));
-}
-
-void EventStore::finalize() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& lane_ptr : lanes_) {
-    Lane& lane = *lane_ptr;
-    std::lock_guard<std::mutex> lane_lock(lane.mu);
-    for (auto& chunk : lane.chunks) {
-      events_.insert(events_.end(), std::make_move_iterator(chunk.begin()),
-                     std::make_move_iterator(chunk.end()));
-    }
-    lane.chunks.clear();
-    lane.event_count = 0;
-    fold(merged_counters_, merged_has_any_, lane.counters, lane.has_any);
-    lane.counters = Snapshot{};
-    lane.has_any = false;
-  }
-  core::canonical_sort(events_);
-  finalized_ = true;
-}
-
-bool EventStore::finalized() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return finalized_;
-}
-
-// Readers scan the merged vector (under mu_) and then each lane (under
-// its own mutex) without holding one big lock, so a concurrent
-// finalize() — which relocates events from the lanes into the merged
-// vector — could slip between the observation points and make a scan
-// miss whatever already moved.  finalize() holds mu_ for its entire
-// duration and is one-shot, so re-reading finalized() after the scan
-// detects exactly that interleaving: if the flag didn't change, no
-// relocation overlapped the scan.  At most one retry ever happens.
-template <typename Scan>
-auto EventStore::consistent_scan(Scan&& scan) const {
-  for (;;) {
-    const bool was_finalized = finalized();
-    auto result = scan();
-    if (was_finalized || !finalized()) return result;
+template <typename Visit>
+void EventStore::for_each_lane(Visit&& visit) const {
+  for (const auto& lane : lanes_) {
+    std::lock_guard<std::mutex> lock(lane->mu);
+    visit(*lane);
   }
 }
 
 std::size_t EventStore::size() const {
-  return consistent_scan([&] {
-    std::size_t total;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      total = events_.size();
-    }
-    for (const auto& lane : lanes_) {
-      std::lock_guard<std::mutex> lane_lock(lane->mu);
-      total += lane->event_count;
-    }
-    return total;
-  });
+  std::size_t total = 0;
+  for_each_lane([&](const Lane& lane) { total += lane.counters.total_events; });
+  return total;
 }
 
 EventStore::Snapshot EventStore::snapshot() const {
-  return consistent_scan([&] {
-    Snapshot snap;
-    bool has_any = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      snap = merged_counters_;
-      has_any = merged_has_any_;
-    }
-    for (const auto& lane : lanes_) {
-      std::lock_guard<std::mutex> lane_lock(lane->mu);
-      fold(snap, has_any, lane->counters, lane->has_any);
-    }
-    return snap;
-  });
+  Snapshot snap;
+  for_each_lane([&](const Lane& lane) { fold(snap, lane.counters); });
+  return snap;
 }
 
 std::vector<core::PeerEvent> EventStore::query(
     const std::function<bool(const core::PeerEvent&)>& pred) const {
-  return consistent_scan([&] {
-    std::vector<core::PeerEvent> out;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& e : events_) {
-        if (pred(e)) out.push_back(e);
-      }
+  std::vector<core::PeerEvent> out;
+  for_each_lane([&](const Lane& lane) {
+    for (const auto& chunk : lane.chunks) {
+      std::copy_if(chunk.begin(), chunk.end(), std::back_inserter(out), pred);
     }
-    for (const auto& lane : lanes_) {
-      std::lock_guard<std::mutex> lane_lock(lane->mu);
-      for (const auto& chunk : lane->chunks) {
-        for (const auto& e : chunk) {
-          if (pred(e)) out.push_back(e);
-        }
-      }
-    }
-    return out;
   });
+  return out;
 }
 
 std::size_t EventStore::count(
     const std::function<bool(const core::PeerEvent&)>& pred) const {
-  return consistent_scan([&] {
-    std::size_t n = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  std::size_t n = 0;
+  for_each_lane([&](const Lane& lane) {
+    for (const auto& chunk : lane.chunks) {
       n += static_cast<std::size_t>(
-          std::count_if(events_.begin(), events_.end(), pred));
+          std::count_if(chunk.begin(), chunk.end(), pred));
     }
-    for (const auto& lane : lanes_) {
-      std::lock_guard<std::mutex> lane_lock(lane->mu);
-      for (const auto& chunk : lane->chunks) {
-        n += static_cast<std::size_t>(
-            std::count_if(chunk.begin(), chunk.end(), pred));
-      }
-    }
-    return n;
   });
+  return n;
 }
 
-std::vector<core::PeerEvent> EventStore::events_in(util::SimTime t0,
-                                                   util::SimTime t1) const {
-  return query([&](const core::PeerEvent& e) {
-    return core::overlaps_window(e.start, e.end, t0, t1);
-  });
-}
-
-std::size_t EventStore::count_in(util::SimTime t0, util::SimTime t1) const {
-  return count([&](const core::PeerEvent& e) {
-    return core::overlaps_window(e.start, e.end, t0, t1);
-  });
-}
-
-const std::vector<core::PeerEvent>& EventStore::events() const {
-  assert(finalized() &&
-         "EventStore::events() before finalize(): the merged vector is empty "
-         "while events sit in per-shard lanes — query()/events_in() is the "
-         "live-safe path");
-  return events_;
+std::vector<core::PeerEvent> EventStore::events() const {
+  auto out = query([](const core::PeerEvent&) { return true; });
+  core::canonical_sort(out);
+  return out;
 }
 
 }  // namespace bgpbh::stream

@@ -1,17 +1,19 @@
-// Merged, time-ordered store of closed blackholing events produced by
-// the engine shards of the streaming pipeline.
+// Time-ordered store of closed blackholing events produced by the
+// engine shards of the streaming pipeline.
 //
 // Shard workers hand events over in *sealed chunks*: each worker seals
 // its engine's drained batch and moves the whole vector into its own
 // lane under that lane's mutex — an O(1) splice plus small counter
 // updates, never an element-wise copy under a shared lock.  Lanes are
-// per-shard, so the hot ingest path has no cross-shard contention; the
-// expensive work (merging every lane into one canonically sorted
-// vector) happens once, in finalize(), after the workers have stopped.
+// per-shard, so the hot ingest path has no cross-shard contention.
+// The lanes are an event's only home for the store's whole lifetime:
+// nothing ever relocates one, so every reader simply scans the lanes
+// (each under its own mutex) and sorts what it gets back if it needs
+// canonical order.
 //
 // Aggregate counters (per-provider, per-platform, total) are kept per
 // lane and folded on demand, so a live alerting sink can take a
-// consistent snapshot at any time without stopping the workers.
+// snapshot at any time without stopping the workers.
 #pragma once
 
 #include <atomic>
@@ -28,7 +30,8 @@ namespace bgpbh::stream {
 
 class EventStore {
  public:
-  // Consistent view of the aggregate counters at one instant.
+  // Aggregate counters at one instant.  The time fields are meaningful
+  // only when total_events > 0.
   struct Snapshot {
     std::size_t total_events = 0;
     util::SimTime first_start = 0;  // min start over ingested events
@@ -40,16 +43,13 @@ class EventStore {
   // Folds one event into a snapshot's counters — THE accumulation rule
   // for Snapshot, shared by the store's lane counters and by
   // api::AnalysisSession's batch-mode snapshot.
-  static void fold_event(Snapshot& into, bool& into_has_any,
-                         const core::PeerEvent& event);
+  static void fold_event(Snapshot& into, const core::PeerEvent& event);
 
   // Folds one snapshot into another (same rule as fold_event, counter
-  // granularity) — how the lanes merge, and how api::AnalysisSession
+  // granularity) — how the lanes combine, and how api::AnalysisSession
   // merges the persistent segment log's cached summary into a live
-  // view.  `from_has_any`/`into_has_any` disambiguate the zero-valued
-  // time fields of an empty snapshot.
-  static void fold(Snapshot& into, bool& into_has_any, const Snapshot& from,
-                   bool from_has_any);
+  // view.
+  static void fold(Snapshot& into, const Snapshot& from);
 
   // One lane per concurrent ingester (shard worker).  Lane count is
   // fixed at construction; ingest_chunk(lane) for lane >= lanes rounds
@@ -96,58 +96,34 @@ class EventStore {
   // feeds the SinkDispatcher.
   void set_spill_listener(ChunkListener listener);
 
-  // Convenience for single-writer callers (tests, batch imports).
-  void ingest(std::vector<core::PeerEvent> events);
-
-  // Merges every lane into the canonical event order.  Call once all
-  // workers stopped.
-  void finalize();
-  bool finalized() const;
-
   // ---- queries ----------------------------------------------------------
+  // Every reader scans the lanes one at a time, each under its own
+  // mutex, and is safe at any time, also while workers ingest.  Events
+  // only ever land, so a reading never reports fewer events than an
+  // earlier one.
   std::size_t size() const;
   Snapshot snapshot() const;
 
-  // Lane-consistent predicate scan: visits the merged vector and every
-  // lane's sealed chunks under the finalize-consistent retry, so the
-  // same query yields the same event set live (per-shard lanes) and
-  // after finalize().  Result order is scan order, NOT canonical —
+  // Predicate scan.  Result order is scan order, NOT canonical —
   // canonical_sort it for comparisons.  api::EventQuery runs on this.
   std::vector<core::PeerEvent> query(
       const std::function<bool(const core::PeerEvent&)>& pred) const;
   std::size_t count(
       const std::function<bool(const core::PeerEvent&)>& pred) const;
 
-  // Events overlapping [t0, t1) (core::overlaps_window, the same rule
-  // as Study::events_in).
-  std::vector<core::PeerEvent> events_in(util::SimTime t0,
-                                         util::SimTime t1) const;
-  std::size_t count_in(util::SimTime t0, util::SimTime t1) const;
-
-  // The merged event set in canonical order.  Asserts (debug builds)
-  // that finalize() ran: before the merge the vector is EMPTY — the
-  // events live in per-shard lanes, reachable only through
-  // query()/events_in()/count_in()/snapshot() — and silently returning
-  // {} here has bitten real callers.  Only valid to hold the reference
-  // while no worker is ingesting.
-  const std::vector<core::PeerEvent>& events() const;
+  // Every event so far, copied out of the lanes in canonical order.
+  std::vector<core::PeerEvent> events() const;
 
  private:
   struct Lane {
     mutable std::mutex mu;
-    std::vector<std::vector<core::PeerEvent>> chunks;  // sealed, unmerged
-    std::size_t event_count = 0;
+    std::vector<std::vector<core::PeerEvent>> chunks;
     Snapshot counters;
-    bool has_any = false;
   };
 
-  static void count_events(Lane& lane,
-                           const std::vector<core::PeerEvent>& events);
-
-  // Runs `scan` and retries once if a concurrent finalize() moved
-  // events between the scan's observation points (see the .cc).
-  template <typename Scan>
-  auto consistent_scan(Scan&& scan) const;
+  // Calls visit(lane) for every lane under that lane's mutex.
+  template <typename Visit>
+  void for_each_lane(Visit&& visit) const;
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   ChunkListener chunk_listener_;
@@ -157,13 +133,6 @@ class EventStore {
   // contracts above); debug builds only.
   std::atomic<bool> ingest_started_{false};
 #endif
-
-  // Guards the merged state (events_, merged counters, finalized_).
-  mutable std::mutex mu_;
-  std::vector<core::PeerEvent> events_;
-  Snapshot merged_counters_;
-  bool merged_has_any_ = false;
-  bool finalized_ = false;
 };
 
 }  // namespace bgpbh::stream

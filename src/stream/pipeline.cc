@@ -181,7 +181,6 @@ void StreamPipeline::finish(util::SimTime end_time) {
   // Gauge readers (open_event_count(), telemetry hooks) never touch
   // the engines once started; publish the post-force-close state.
   workers_.publish_open_gauges();
-  store_.finalize();
 }
 
 std::size_t StreamPipeline::open_event_count() const {

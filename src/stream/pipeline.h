@@ -18,8 +18,8 @@
 // drops).  N workers pop in matching batches, run private engine
 // shards straight over the shared blocks via core::UpdateView (no
 // materialization), release the blocks back to the pool, and seal
-// their closed events into per-shard EventStore lanes — merged and
-// canonically ordered at finish().  In steady state the whole path
+// their closed events into per-shard EventStore lanes, where they
+// stay; readers sort what they need.  In steady state the whole path
 // from push() to the engine performs zero heap allocations per
 // sub-update (bench/perf_stream asserts this with a counting
 // allocator).
@@ -32,8 +32,8 @@
 // deployments (collector sessions are platform-disjoint) and for any
 // peer-key-hash partition.
 //
-// Equivalence contract: after finish(), store().events() sorted
-// canonically is identical to what one sequential InferenceEngine
+// Equivalence contract: after finish(), store().events() (canonical
+// order) is identical to what one sequential InferenceEngine
 // produces from the same update stream, for any shard count, batch
 // size and producer count, and merged_stats() equals the sequential
 // engine's stats.
@@ -162,7 +162,7 @@ class StreamPipeline {
   std::uint64_t run(UpdateSource& source);
 
   // Close the queues, join the workers, close still-open events at
-  // `end_time`, drain every shard into the store and canonical-sort it.
+  // `end_time` and drain every shard into the store.
   // All producer threads must have stopped pushing before this call.
   void finish(util::SimTime end_time);
   bool finished() const { return finished_.load(std::memory_order_acquire); }

@@ -181,7 +181,6 @@ TEST_P(FuzzSeedTest, EventRecordRoundTripsRandomEvents) {
     core::PeerEvent e = random_event(rng);
     net::BufWriter w;
     storage::encode_record(e, w);
-    EXPECT_EQ(w.size(), storage::encoded_record_size(e));
     net::BufReader r(w.data());
     auto decoded = storage::decode_record(r);
     ASSERT_TRUE(decoded.has_value()) << "i=" << i;

@@ -83,7 +83,6 @@ TEST_F(StorageTest, RecordRoundTripsAllFieldShapes) {
     PeerEvent original = make_event(i, 1000 + i, 2000 + i);
     net::BufWriter w;
     encode_record(original, w);
-    EXPECT_EQ(w.size(), encoded_record_size(original));
     net::BufReader r(w.data());
     auto decoded = decode_record(r);
     ASSERT_TRUE(decoded.has_value()) << "i=" << i;

@@ -282,11 +282,18 @@ PeerEvent make_event(bgp::Asn provider_asn, Platform platform,
   return e;
 }
 
+// Predicate for events overlapping [t0, t1).
+auto window(util::SimTime t0, util::SimTime t1) {
+  return [=](const PeerEvent& e) {
+    return core::overlaps_window(e.start, e.end, t0, t1);
+  };
+}
+
 TEST(EventStore, SnapshotCountersAndWindowQueries) {
   EventStore store;
-  store.ingest({make_event(200, Platform::kRis, 100, 200),
-                make_event(200, Platform::kCdn, 150, 300)});
-  store.ingest({make_event(300, Platform::kRis, 400, 500)});
+  store.ingest_chunk(0, {make_event(200, Platform::kRis, 100, 200),
+                         make_event(200, Platform::kCdn, 150, 300)});
+  store.ingest_chunk(0, {make_event(300, Platform::kRis, 400, 500)});
 
   auto snap = store.snapshot();
   EXPECT_EQ(snap.total_events, 3u);
@@ -296,18 +303,17 @@ TEST(EventStore, SnapshotCountersAndWindowQueries) {
             2u);
   EXPECT_EQ(snap.per_platform.at(Platform::kRis), 2u);
 
-  EXPECT_EQ(store.count_in(0, 1000), 3u);
-  EXPECT_EQ(store.count_in(350, 1000), 1u);
-  EXPECT_EQ(store.events_in(120, 160).size(), 2u);
+  EXPECT_EQ(store.count(window(0, 1000)), 3u);
+  EXPECT_EQ(store.count(window(350, 1000)), 1u);
+  EXPECT_EQ(store.query(window(120, 160)).size(), 2u);
 
-  store.finalize();
-  const auto& events = store.events();
+  auto events = store.events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_TRUE(std::is_sorted(events.begin(), events.end(),
                              core::canonical_less));
 }
 
-TEST(EventStore, LanesMergeAtFinalizeAndSnapshotAggregates) {
+TEST(EventStore, SnapshotAndQueriesSpanEveryLaneAndEventsAreCanonical) {
   EventStore store(3);
   store.ingest_chunk(0, {make_event(200, Platform::kRis, 100, 200)});
   store.ingest_chunk(1, {make_event(200, Platform::kCdn, 150, 300),
@@ -315,7 +321,7 @@ TEST(EventStore, LanesMergeAtFinalizeAndSnapshotAggregates) {
   store.ingest_chunk(2, {make_event(300, Platform::kPch, 50, 120)});
   store.ingest_chunk(5, {make_event(300, Platform::kPch, 60, 130)});  // wraps
 
-  // Aggregated across lanes before any merge happened.
+  // Aggregated across lanes.
   auto snap = store.snapshot();
   EXPECT_EQ(snap.total_events, 5u);
   EXPECT_EQ(snap.first_start, 50);
@@ -323,19 +329,13 @@ TEST(EventStore, LanesMergeAtFinalizeAndSnapshotAggregates) {
   EXPECT_EQ(snap.per_provider.at({.is_ixp = false, .asn = 300, .ixp_id = 0}),
             3u);
   EXPECT_EQ(store.size(), 5u);
-  EXPECT_EQ(store.count_in(0, 1000), 5u);
-  EXPECT_EQ(store.events_in(110, 160).size(), 4u);
+  EXPECT_EQ(store.count(window(0, 1000)), 5u);
+  EXPECT_EQ(store.query(window(110, 160)).size(), 4u);
 
-  store.finalize();
-  const auto& events = store.events();
+  auto events = store.events();
   ASSERT_EQ(events.size(), 5u);
   EXPECT_TRUE(std::is_sorted(events.begin(), events.end(),
                              core::canonical_less));
-  // Queries and counters are unchanged by the merge.
-  auto after = store.snapshot();
-  EXPECT_EQ(after.total_events, 5u);
-  EXPECT_EQ(after.first_start, 50);
-  EXPECT_EQ(store.count_in(0, 1000), 5u);
 }
 
 // ---- MrtFileSource ----------------------------------------------------
@@ -599,7 +599,8 @@ TEST(StreamPipeline, RandomizedFlushStressWithConcurrentSnapshots) {
       // is a point-in-time total — bracket it between two size() reads
       // (totals only grow while the pipeline runs).
       std::size_t before = pipeline.store().size();
-      std::size_t counted = pipeline.store().count_in(0, f.config.window_end + 1);
+      std::size_t counted =
+          pipeline.store().count(window(0, f.config.window_end + 1));
       std::size_t after = pipeline.store().size();
       EXPECT_LE(before, counted);
       EXPECT_LE(counted, after);
@@ -649,13 +650,84 @@ TEST(StreamPipeline, StoreSnapshotConsistentAfterFinish) {
   std::size_t platform_sum = 0;
   for (const auto& [platform, n] : snap.per_platform) platform_sum += n;
   EXPECT_EQ(platform_sum, snap.total_events);
-  EXPECT_EQ(pipeline.store().count_in(0, f.config.window_end + 1),
+  EXPECT_EQ(pipeline.store().count(window(0, f.config.window_end + 1)),
             snap.total_events);
   EXPECT_EQ(pipeline.updates_pushed(), f.updates.size());
 
   // After finish() the pipeline rejects — and does not count — pushes.
   EXPECT_FALSE(pipeline.push(f.updates.front()));
   EXPECT_EQ(pipeline.updates_pushed(), f.updates.size());
+}
+
+// Mid-run, before finish(), events() is every event the lanes hold so
+// far, in canonical order.  The capture rendezvous parks each worker
+// right after it drained its engine into the store, so both reads see
+// the same store state.
+TEST(StreamPipeline, StoreEventsAreCanonicalMidRun) {
+  auto& f = fixture();
+  PipelineConfig config;
+  config.num_shards = 3;
+  StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
+  if (auto dump = f.study->initial_table_dump()) {
+    pipeline.init_from_table_dump(Platform::kRis, *dump);
+  }
+  pipeline.start();
+  for (const auto& u : f.updates) pipeline.push(u);
+  pipeline.flush();
+  while (pipeline.total_processed() < pipeline.total_refs_enqueued()) {
+    std::this_thread::yield();
+  }
+  std::vector<PeerEvent> events, scanned;
+  std::vector<ShardCapture> captured;
+  ASSERT_TRUE(pipeline.capture(
+      [&] {
+        events = pipeline.store().events();
+        scanned = pipeline.store().query([](const PeerEvent&) { return true; });
+      },
+      captured));
+  core::canonical_sort(scanned);
+  EXPECT_FALSE(events.empty());
+  EXPECT_TRUE(std::is_sorted(events.begin(), events.end(),
+                             core::canonical_less));
+  EXPECT_TRUE(events == scanned);
+  pipeline.finish(f.config.window_end);
+  EXPECT_TRUE(pipeline.store().events() == sequential_events(nullptr));
+}
+
+// A reader racing the whole run, finish() included: count() and
+// snapshot() never go backwards, and the reading taken after finish()
+// returned is the sequential engine's event count.
+TEST(StreamPipeline, StoreReadingsNeverShrinkAcrossFinish) {
+  auto& f = fixture();
+  const std::size_t expected = sequential_events(nullptr).size();
+  PipelineConfig config;
+  config.num_shards = 3;
+  config.drain_batch = 8;  // frequent sealed chunks
+  StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
+  if (auto dump = f.study->initial_table_dump()) {
+    pipeline.init_from_table_dump(Platform::kRis, *dump);
+  }
+  pipeline.start();
+  std::atomic<bool> finished{false};
+  std::size_t last_count = 0, last_total = 0;
+  std::thread reader([&] {
+    const auto all = [](const PeerEvent&) { return true; };
+    for (bool last = false; !last;) {
+      last = finished.load(std::memory_order_acquire);
+      const std::size_t count = pipeline.store().count(all);
+      const std::size_t total = pipeline.store().snapshot().total_events;
+      EXPECT_GE(count, last_count);
+      EXPECT_GE(total, last_total);
+      last_count = count;
+      last_total = total;
+    }
+  });
+  for (const auto& u : f.updates) pipeline.push(u);
+  pipeline.finish(f.config.window_end);
+  finished.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(last_count, expected);
+  EXPECT_EQ(last_total, expected);
 }
 
 // ---- checkpoint rendezvous --------------------------------------------
