@@ -33,7 +33,9 @@
 // APPEND protocol (fabric_append_ns_per_event), one live slot
 // migration between the servers (rebalance_ms), and an equality check
 // against a matching in-process session — a mismatch fails the run
-// like every other stage.
+// like every other stage.  A third server then hosts the fabric push
+// zero-allocation assertion: a warm client pushing a stream after a
+// checkpoint makes no producer-thread allocation, or the run fails.
 //
 //   perf_stream [--smoke] [--fabric] [--producers <P>] [--out <path>]
 //               [--segments-out <dir>]
@@ -619,6 +621,7 @@ int main(int argc, char** argv) {
   // set must match an in-process session over the same stream — the
   // distributed plane is only worth benching if it is correct.
   double fabric_append_ns = 0.0, rebalance_ms = 0.0;
+  double fabric_push_allocs_per_update = 0.0;
   double detection_latency_p99_ms = 0.0;
   if (with_fabric) {
     api::SessionConfig ref_config;
@@ -685,6 +688,42 @@ int main(int argc, char** argv) {
     if (!fabric_identical) all_equivalent = false;
     server0.stop();
     server1.stop();
+
+    // ---- zero-allocation fabric push assertion ----
+    // A warm fabric client's push path (split, encode into the lane's
+    // wire log, APPEND frame build + send, ack receive) makes no heap
+    // allocation on the producer thread.  Warm with the study stream,
+    // cut a checkpoint (every lane's log is then durable and compacts
+    // to empty, keeping its capacity), then push the same stream again,
+    // shifted one window later: every lane sees the same sub-updates,
+    // byte for byte, that it already grew to hold.
+    std::vector<routing::FeedUpdate> next_window = updates;
+    for (auto& u : next_window) {
+      u.update.time += config.window_end - config.window_start;
+    }
+    server_config.dir = fabric_dir + "/alloc";
+    fabric::ShardServer alloc_server(server_config);
+    api::SessionConfig alloc_config = fconfig;
+    alloc_config.fabric.endpoints = {{"127.0.0.1", alloc_server.port()}};
+    api::AnalysisSession alloc_session(alloc_config);
+    alloc_session.start();
+    for (const auto& u : updates) alloc_session.push(u);
+    const bool warm_cut = alloc_session.fabric()->checkpoint_all();
+    const std::uint64_t before = t_alloc_count;
+    for (const auto& u : next_window) alloc_session.push(u);
+    const std::uint64_t allocs = t_alloc_count - before;
+    fabric_push_allocs_per_update =
+        static_cast<double>(allocs) / static_cast<double>(next_window.size());
+    std::printf("fabric push allocations per update: %.4f (%llu allocs / %zu "
+                "pushed after a checkpoint)  [%s]\n",
+                fabric_push_allocs_per_update,
+                static_cast<unsigned long long>(allocs), next_window.size(),
+                allocs == 0 && warm_cut ? "zero-alloc OK"
+                                        : "ALLOCATION REGRESSION");
+    if (allocs != 0 || !warm_cut) all_equivalent = false;
+    alloc_session.close(config.window_end + (config.window_end -
+                                             config.window_start));
+    alloc_server.stop();
     std::filesystem::remove_all(fabric_dir);
   }
 
@@ -754,6 +793,10 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"queue_capacity\": %zu,\n", defaults.queue_capacity);
   std::fprintf(out, "  \"routing_allocs_per_subupdate\": %.4f,\n",
                allocs_per_subupdate);
+  if (with_fabric) {
+    std::fprintf(out, "  \"fabric_push_allocs_per_update\": %.4f,\n",
+                 fabric_push_allocs_per_update);
+  }
   std::fprintf(out, "  \"telemetry_batches_recorded\": %llu,\n",
                static_cast<unsigned long long>(telemetry_batches));
   std::fprintf(out, "  \"cadence_checkpoints\": %llu,\n",

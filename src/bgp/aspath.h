@@ -53,6 +53,9 @@ class AsPath {
 
   void prepend(Asn asn, std::size_t times = 1);
   void push_origin(Asn asn) { hops_.push_back(asn); }
+  // Empties the path but keeps its storage, so a decoder refilling one
+  // scratch path with clear() + push_origin() stops allocating.
+  void clear() { hops_.clear(); }
 
   std::string to_string() const;  // "3356 1299 64500"
 

@@ -49,6 +49,9 @@ std::optional<net::Prefix> decode_nlri_v6(net::BufReader& r) {
   return net::Prefix(net::Ipv6Addr(bytes), len);
 }
 
+// Encoded NLRI size: the length octet plus the address bytes.
+std::size_t nlri_size(const net::Prefix& p) { return 1 + (p.len() + 7u) / 8u; }
+
 // Path attribute header: flags, type, length (1 or 2 bytes).
 void attr_header(net::BufWriter& w, std::uint8_t flags, std::uint8_t type,
                  std::size_t length) {
@@ -70,87 +73,90 @@ constexpr std::uint8_t kFlagOptional = 0x80;
 }  // namespace
 
 void encode_update_body(const UpdateBody& body, net::BufWriter& w) {
+  // Everything is written straight into `w`: a length either is known
+  // before its field is written, or is written as 0 and patched.
+
   // Withdrawn routes (IPv4 only at top level).
-  net::BufWriter withdrawn;
+  const std::size_t withdrawn_pos = w.size();
+  w.u16(0);
   for (const auto& p : body.withdrawn) {
-    if (p.is_v4()) encode_nlri_v4(p, withdrawn);
+    if (p.is_v4()) encode_nlri_v4(p, w);
   }
-  w.u16(static_cast<std::uint16_t>(withdrawn.size()));
-  w.bytes(withdrawn.data());
+  w.patch_u16(withdrawn_pos,
+              static_cast<std::uint16_t>(w.size() - withdrawn_pos - 2));
 
   // Path attributes.
-  net::BufWriter attrs;
-  bool has_announce = !body.announced.empty();
-  if (has_announce) {
-    attrs.u8(kFlagTransitive);
-    attrs.u8(kAttrOrigin);
-    attrs.u8(1);
-    attrs.u8(static_cast<std::uint8_t>(body.origin));
+  const std::size_t attrs_pos = w.size();
+  w.u16(0);
+  if (!body.announced.empty()) {
+    w.u8(kFlagTransitive);
+    w.u8(kAttrOrigin);
+    w.u8(1);
+    w.u8(static_cast<std::uint8_t>(body.origin));
 
     // AS_PATH: one AS_SEQUENCE segment, 4-byte ASNs (AS4 capable peers).
-    net::BufWriter pathbuf;
-    if (!body.as_path.empty()) {
-      pathbuf.u8(2);  // AS_SEQUENCE
-      pathbuf.u8(static_cast<std::uint8_t>(body.as_path.length()));
-      for (Asn a : body.as_path.hops()) pathbuf.u32(a);
+    const std::size_t hops = body.as_path.length();
+    attr_header(w, kFlagTransitive, kAttrAsPath, hops == 0 ? 0 : 2 + 4 * hops);
+    if (hops != 0) {
+      w.u8(2);  // AS_SEQUENCE
+      w.u8(static_cast<std::uint8_t>(hops));
+      for (Asn a : body.as_path.hops()) w.u32(a);
     }
-    attr_header(attrs, kFlagTransitive, kAttrAsPath, pathbuf.size());
-    attrs.bytes(pathbuf.data());
 
     if (body.next_hop && body.next_hop->is_v4()) {
-      attr_header(attrs, kFlagTransitive, kAttrNextHop, 4);
-      attrs.u32(body.next_hop->v4().value());
+      attr_header(w, kFlagTransitive, kAttrNextHop, 4);
+      w.u32(body.next_hop->v4().value());
     }
   }
   if (!body.communities.classic().empty()) {
-    attr_header(attrs, kFlagOptTransitive, kAttrCommunities,
+    attr_header(w, kFlagOptTransitive, kAttrCommunities,
                 body.communities.classic().size() * 4);
-    for (auto c : body.communities.classic()) attrs.u32(c.raw());
+    for (auto c : body.communities.classic()) w.u32(c.raw());
   }
   if (!body.communities.large().empty()) {
-    attr_header(attrs, kFlagOptTransitive, kAttrLargeCommunities,
+    attr_header(w, kFlagOptTransitive, kAttrLargeCommunities,
                 body.communities.large().size() * 12);
     for (auto c : body.communities.large()) {
-      attrs.u32(c.global_admin());
-      attrs.u32(c.local1());
-      attrs.u32(c.local2());
+      w.u32(c.global_admin());
+      w.u32(c.local1());
+      w.u32(c.local2());
     }
   }
   // MP_REACH / MP_UNREACH for IPv6.
-  net::BufWriter v6ann, v6wd;
+  std::size_t v6_announced = 0, v6_withdrawn = 0;
   for (const auto& p : body.announced) {
-    if (!p.is_v4()) encode_nlri_v6(p, v6ann);
+    if (!p.is_v4()) v6_announced += nlri_size(p);
   }
   for (const auto& p : body.withdrawn) {
-    if (!p.is_v4()) encode_nlri_v6(p, v6wd);
+    if (!p.is_v4()) v6_withdrawn += nlri_size(p);
   }
-  if (v6ann.size() > 0) {
+  if (v6_announced > 0) {
     // AFI(2)=IPv6, SAFI(1)=unicast, nexthop-len, nexthop, reserved, NLRI.
-    net::BufWriter mp;
-    mp.u16(2);
-    mp.u8(1);
-    if (body.next_hop && body.next_hop->is_v6()) {
-      mp.u8(16);
-      mp.bytes(body.next_hop->v6().bytes());
+    const bool v6_next_hop = body.next_hop && body.next_hop->is_v6();
+    attr_header(w, kFlagOptional, kAttrMpReachNlri,
+                5 + (v6_next_hop ? 16 : 0) + v6_announced);
+    w.u16(2);
+    w.u8(1);
+    if (v6_next_hop) {
+      w.u8(16);
+      w.bytes(body.next_hop->v6().bytes());
     } else {
-      mp.u8(0);
+      w.u8(0);
     }
-    mp.u8(0);  // reserved
-    mp.bytes(v6ann.data());
-    attr_header(attrs, kFlagOptional, kAttrMpReachNlri, mp.size());
-    attrs.bytes(mp.data());
+    w.u8(0);  // reserved
+    for (const auto& p : body.announced) {
+      if (!p.is_v4()) encode_nlri_v6(p, w);
+    }
   }
-  if (v6wd.size() > 0) {
-    net::BufWriter mp;
-    mp.u16(2);
-    mp.u8(1);
-    mp.bytes(v6wd.data());
-    attr_header(attrs, kFlagOptional, kAttrMpUnreachNlri, mp.size());
-    attrs.bytes(mp.data());
+  if (v6_withdrawn > 0) {
+    attr_header(w, kFlagOptional, kAttrMpUnreachNlri, 3 + v6_withdrawn);
+    w.u16(2);
+    w.u8(1);
+    for (const auto& p : body.withdrawn) {
+      if (!p.is_v4()) encode_nlri_v6(p, w);
+    }
   }
-
-  w.u16(static_cast<std::uint16_t>(attrs.size()));
-  w.bytes(attrs.data());
+  w.patch_u16(attrs_pos, static_cast<std::uint16_t>(w.size() - attrs_pos - 2));
 
   // IPv4 NLRI.
   for (const auto& p : body.announced) {
@@ -158,18 +164,23 @@ void encode_update_body(const UpdateBody& body, net::BufWriter& w) {
   }
 }
 
-std::optional<UpdateBody> decode_update_body(net::BufReader& r) {
-  UpdateBody body;
+bool decode_update_body_into(net::BufReader& r, UpdateBody& body) {
+  body.announced.clear();
+  body.withdrawn.clear();
+  body.as_path.clear();
+  body.next_hop.reset();
+  body.communities.clear();
+  body.origin = Origin::kIgp;
 
   std::uint16_t wd_len = r.u16();
   {
     net::BufReader wd = r.sub(wd_len);
     while (wd.ok() && wd.remaining() > 0) {
       auto p = decode_nlri_v4(wd);
-      if (!p) return std::nullopt;
+      if (!p) return false;
       body.withdrawn.push_back(*p);
     }
-    if (!wd.ok()) return std::nullopt;
+    if (!wd.ok()) return false;
   }
 
   std::uint16_t attr_len = r.u16();
@@ -180,40 +191,42 @@ std::optional<UpdateBody> decode_update_body(net::BufReader& r) {
       std::uint8_t type = ar.u8();
       std::size_t len = (flags & 0x10) ? ar.u16() : ar.u8();
       net::BufReader av = ar.sub(len);
-      if (!ar.ok()) return std::nullopt;
+      if (!ar.ok()) return false;
       switch (type) {
         case kAttrOrigin: {
           std::uint8_t o = av.u8();
-          if (o > 2) return std::nullopt;
+          if (o > 2) return false;
           body.origin = static_cast<Origin>(o);
           break;
         }
         case kAttrAsPath: {
-          std::vector<Asn> hops;
+          // A repeated AS_PATH replaces the earlier one.
+          body.as_path.clear();
           while (av.ok() && av.remaining() > 0) {
             std::uint8_t seg_type = av.u8();
             std::uint8_t count = av.u8();
-            if (seg_type != 2) return std::nullopt;  // AS_SEQUENCE only
-            for (unsigned i = 0; i < count; ++i) hops.push_back(av.u32());
+            if (seg_type != 2) return false;  // AS_SEQUENCE only
+            for (unsigned i = 0; i < count; ++i) {
+              body.as_path.push_origin(av.u32());
+            }
           }
-          if (!av.ok()) return std::nullopt;
-          body.as_path = AsPath(std::move(hops));
+          if (!av.ok()) return false;
           break;
         }
         case kAttrNextHop: {
-          if (len != 4) return std::nullopt;
+          if (len != 4) return false;
           body.next_hop = net::IpAddr(net::Ipv4Addr(av.u32()));
           break;
         }
         case kAttrCommunities: {
-          if (len % 4 != 0) return std::nullopt;
+          if (len % 4 != 0) return false;
           for (std::size_t i = 0; i < len / 4; ++i) {
             body.communities.add(Community(av.u32()));
           }
           break;
         }
         case kAttrLargeCommunities: {
-          if (len % 12 != 0) return std::nullopt;
+          if (len % 12 != 0) return false;
           for (std::size_t i = 0; i < len / 12; ++i) {
             std::uint32_t g = av.u32(), l1 = av.u32(), l2 = av.u32();
             body.communities.add(LargeCommunity(g, l1, l2));
@@ -224,10 +237,10 @@ std::optional<UpdateBody> decode_update_body(net::BufReader& r) {
           std::uint16_t afi = av.u16();
           std::uint8_t safi = av.u8();
           std::uint8_t nh_len = av.u8();
-          if (afi != 2 || safi != 1) return std::nullopt;
+          if (afi != 2 || safi != 1) return false;
           if (nh_len == 16) {
             auto nh = av.bytes(16);
-            if (!av.ok()) return std::nullopt;
+            if (!av.ok()) return false;
             net::Ipv6Addr::Bytes b{};
             for (unsigned i = 0; i < 16; ++i) b[i] = nh[i];
             body.next_hop = net::IpAddr(net::Ipv6Addr(b));
@@ -237,39 +250,44 @@ std::optional<UpdateBody> decode_update_body(net::BufReader& r) {
           av.skip(1);  // reserved
           while (av.ok() && av.remaining() > 0) {
             auto p = decode_nlri_v6(av);
-            if (!p) return std::nullopt;
+            if (!p) return false;
             body.announced.push_back(*p);
           }
-          if (!av.ok()) return std::nullopt;
+          if (!av.ok()) return false;
           break;
         }
         case kAttrMpUnreachNlri: {
           std::uint16_t afi = av.u16();
           std::uint8_t safi = av.u8();
-          if (afi != 2 || safi != 1) return std::nullopt;
+          if (afi != 2 || safi != 1) return false;
           while (av.ok() && av.remaining() > 0) {
             auto p = decode_nlri_v6(av);
-            if (!p) return std::nullopt;
+            if (!p) return false;
             body.withdrawn.push_back(*p);
           }
-          if (!av.ok()) return std::nullopt;
+          if (!av.ok()) return false;
           break;
         }
         default:
           break;  // tolerate unknown attributes (forward compat)
       }
-      if (!av.ok()) return std::nullopt;
+      if (!av.ok()) return false;
     }
-    if (!ar.ok()) return std::nullopt;
+    if (!ar.ok()) return false;
   }
 
   // Remaining bytes: IPv4 NLRI.
   while (r.ok() && r.remaining() > 0) {
     auto p = decode_nlri_v4(r);
-    if (!p) return std::nullopt;
+    if (!p) return false;
     body.announced.push_back(*p);
   }
-  if (!r.ok()) return std::nullopt;
+  return r.ok();
+}
+
+std::optional<UpdateBody> decode_update_body(net::BufReader& r) {
+  UpdateBody body;
+  if (!decode_update_body_into(r, body)) return std::nullopt;
   return body;
 }
 

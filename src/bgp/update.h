@@ -54,10 +54,15 @@ struct ObservedUpdate {
 // in MP_REACH/MP_UNREACH attributes (RFC 4760), which we implement in
 // the reduced form used by route collectors.
 
+// Appends to `w` in place: no temporary buffers, lengths patched.
 void encode_update_body(const UpdateBody& body, net::BufWriter& w);
 
 // Returns nullopt on malformed input. Strict about attribute lengths.
 std::optional<UpdateBody> decode_update_body(net::BufReader& r);
+// The same decode into caller scratch: `body` is reset first (no field
+// of an earlier decode survives) and its vectors' capacity is reused.
+// False on malformed input, leaving `body` unspecified.
+bool decode_update_body_into(net::BufReader& r, UpdateBody& body);
 
 // Full BGP message: 16-byte marker, length, type(2=UPDATE), body.
 void encode_update_message(const UpdateBody& body, net::BufWriter& w);

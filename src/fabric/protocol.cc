@@ -19,7 +19,7 @@ void make_sub_update(const routing::FeedUpdate& fu, stream::SubKind kind,
   if (kind == stream::SubKind::kWithdraw) {
     out.withdrawn.assign(1, body.withdrawn[prefix_index]);
     out.announced.clear();
-    out.as_path = bgp::AsPath();
+    out.as_path.clear();
     out.communities.clear();
     out.next_hop.reset();
     out.origin = bgp::Origin::kIgp;
@@ -40,33 +40,38 @@ void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out) {
   out.u32(fu.update.peer_asn);
   out.u32(fu.update.collector_id);
   // The UPDATE body codec treats "rest of input" as NLRI, so it needs
-  // an explicit length prefix to know where this sub-update ends.
-  net::BufWriter body;
-  bgp::encode_update_body(fu.update.body, body);
-  out.u32(static_cast<std::uint32_t>(body.size()));
-  out.bytes(body.data());
+  // an explicit length prefix to know where this sub-update ends; it
+  // is patched once the body is written.
+  const std::size_t len_pos = out.size();
+  out.u32(0);
+  bgp::encode_update_body(fu.update.body, out);
+  out.patch_u32(len_pos, static_cast<std::uint32_t>(out.size() - len_pos - 4));
   out.u64(fu.ingest_ns);
 }
 
-std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in) {
-  routing::FeedUpdate fu;
+bool decode_sub_update_into(net::BufReader& in, routing::FeedUpdate& fu) {
   std::uint8_t platform = in.u8();
-  if (platform >= routing::kNumPlatforms) return std::nullopt;
+  if (platform >= routing::kNumPlatforms) return false;
   fu.platform = static_cast<routing::Platform>(platform);
   fu.update.time = static_cast<util::SimTime>(in.u64());
   auto peer_ip = storage::decode_ip(in);
-  if (!peer_ip) return std::nullopt;
+  if (!peer_ip) return false;
   fu.update.peer_ip = *peer_ip;
   fu.update.peer_asn = in.u32();
   fu.update.collector_id = in.u32();
   std::uint32_t body_len = in.u32();
-  if (!in.ok() || body_len > in.remaining()) return std::nullopt;
+  if (!in.ok() || body_len > in.remaining()) return false;
   net::BufReader body = in.sub(body_len);
-  auto decoded = bgp::decode_update_body(body);
-  if (!decoded || !body.ok() || !body.at_end()) return std::nullopt;
-  fu.update.body = std::move(*decoded);
+  if (!bgp::decode_update_body_into(body, fu.update.body) || !body.at_end()) {
+    return false;
+  }
   fu.ingest_ns = in.u64();
-  if (!in.ok()) return std::nullopt;
+  return in.ok();
+}
+
+std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in) {
+  routing::FeedUpdate fu;
+  if (!decode_sub_update_into(in, fu)) return std::nullopt;
   return fu;
 }
 

@@ -15,6 +15,12 @@
 // (storage::encode_event_payload) — so what crosses the socket is
 // byte-identical to what a shard spills to its segment log.
 //
+// The hot APPEND path builds all of this in place — sub-updates encoded
+// straight into a lane's byte log, frames assembled in one reused
+// buffer (socket.h), decodes into reused scratch — without changing a
+// byte of the layout below: buffer reuse is an implementation detail,
+// never a protocol version.
+//
 // Version negotiation: each HELLO advertises the sender's readable
 // [min, max] version range (this build sends [kFabricVersion,
 // kFabricVersion]); the server answers with
@@ -83,12 +89,20 @@ enum class FrameType : std::uint8_t {
 // make_sub_update writes sub-update (kind, prefix_index) of `fu` into
 // `sub`: the wire decision is that a withdrawal carries no route
 // attributes, while an announcement carries the update's AS path,
-// communities, next hop and origin.  `sub` is caller scratch, reused
-// across the sub-updates of one update.
+// communities, next hop and origin.  `sub` is caller scratch (the router
+// keeps one per producer): every field is overwritten and its vectors'
+// capacity is reused.
 void make_sub_update(const routing::FeedUpdate& fu, stream::SubKind kind,
                      std::uint32_t prefix_index, std::uint64_t ingest_ns,
                      routing::FeedUpdate& sub);
+
+// encode_sub_update appends to `out` in place (the body length is
+// patched after the body), so a caller can encode many sub-updates back
+// to back into one reused buffer.  decode_sub_update_into decodes into
+// caller scratch, overwriting every field and reusing its vectors;
+// decode_sub_update is the same decode into a fresh value.
 void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out);
+bool decode_sub_update_into(net::BufReader& in, routing::FeedUpdate& fu);
 std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in);
 
 // ---- handoff file set -------------------------------------------------

@@ -7,17 +7,11 @@
 #include <unordered_map>
 
 #include "storage/record_codec.h"
-#include "storage/wire.h"
 #include "stream/shard_router.h"
 
 namespace bgpbh::fabric {
 
 namespace {
-
-// Unacked APPEND frames per lane before the producer blocks on acks.
-constexpr std::size_t kMaxInflight = 4;
-// Sub-updates per APPEND frame.
-constexpr std::size_t kBatchSubs = 64;
 
 std::string describe_endpoint(const FabricEndpoint& ep) {
   return ep.host + ":" + std::to_string(ep.port);
@@ -32,7 +26,8 @@ FabricRouter::FabricRouter(FabricConfig config, std::size_t num_slots,
       num_slots_(num_slots == 0 ? 1 : num_slots),
       num_producers_(num_producers == 0 ? 1 : num_producers),
       endpoints_(config_.endpoints),
-      placement_(place_slots(num_slots_, endpoints_.size())) {
+      placement_(place_slots(num_slots_, endpoints_.size())),
+      sub_scratch_(num_producers_) {
   if (endpoints_.empty()) {
     throw std::invalid_argument("fabric: FabricRouter needs >= 1 endpoint");
   }
@@ -134,30 +129,33 @@ HelloReply hello(TcpConn& conn, std::uint32_t slot, std::uint32_t producer) {
 }  // namespace
 
 void FabricRouter::prune_replay(Lane& ln, std::uint64_t durable) {
-  while (ln.replay_base < durable && !ln.replay.empty()) {
-    ln.replay.pop_front();
-    ++ln.replay_base;
-  }
+  // Only sent subs can be durable; staged ones stay whatever the ack.
+  ln.log.drop_before(std::min(durable, ln.sent));
 }
 
-net::BufWriter FabricRouter::append_body(const Lane& ln, std::size_t slot,
-                                         std::size_t p, std::uint64_t trace_id,
-                                         std::uint64_t from,
-                                         std::size_t count) {
-  net::BufWriter w;
-  w.u32(static_cast<std::uint32_t>(slot));
-  w.u32(static_cast<std::uint32_t>(p));
-  w.u64(trace_id);
-  w.u64(util::wall_clock_ns());
-  w.u64(from);
-  w.u32(static_cast<std::uint32_t>(count));
-  const std::size_t first = static_cast<std::size_t>(from - ln.replay_base);
-  for (std::size_t i = 0; i < count; ++i) w.bytes(ln.replay[first + i]);
-  return w;
+bool FabricRouter::send_append(Lane& ln, std::size_t slot, std::size_t p,
+                               std::uint64_t trace_id, std::uint64_t from,
+                               std::size_t count) {
+  ln.frame.clear();
+  const std::size_t start = begin_frame(ln.frame, FrameType::kAppend);
+  ln.frame.u32(static_cast<std::uint32_t>(slot));
+  ln.frame.u32(static_cast<std::uint32_t>(p));
+  ln.frame.u64(trace_id);
+  ln.frame.u64(util::wall_clock_ns());
+  ln.frame.u64(from);
+  ln.frame.u32(static_cast<std::uint32_t>(count));
+  ln.frame.bytes(ln.log.range(from, from + count));
+  end_frame(ln.frame, start);
+  if (!ln.conn.send_framed(ln.frame.data())) return false;
+  if (batches_) batches_->add();
+  if (bytes_) bytes_->add(ln.frame.size());
+  ++ln.unacked;
+  inflight_total_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool FabricRouter::read_ack(Lane& ln) {
-  auto frame = ln.conn.recv_frame();
+  auto frame = ln.conn.recv_frame_into(ln.ack_buf);
   std::uint64_t accepted = 0, durable = 0;
   if (!frame || frame->type != FrameType::kAppendAck ||
       !parse_append_ack(frame->body, accepted, durable)) {
@@ -181,18 +179,19 @@ void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
   // frame this ack answers: its send timestamp gives the full RPC
   // round trip (queue + wire + server), its trace id lets
   // fleet_telemetry() stitch this span against the server-side half.
-  if (!ln.inflight_meta.empty()) {
-    const auto [trace_id, t0] = ln.inflight_meta.front();
-    ln.inflight_meta.pop_front();
+  if (ln.inflight_count > 0) {
+    const InflightMeta meta = ln.inflight[ln.inflight_head];
+    ln.inflight_head = (ln.inflight_head + 1) % kMaxInflight;
+    --ln.inflight_count;
     const std::uint64_t ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
+            std::chrono::steady_clock::now() - meta.sent_at)
             .count());
     if (rpc_ns_) rpc_ns_->record(ns);
     if (metrics_) {
       metrics_->trace().maybe_record("fabric.append",
                                      static_cast<std::uint32_t>(slot), ns,
-                                     trace_id);
+                                     meta.trace_id);
     }
   }
   if (inflight_) {
@@ -205,7 +204,8 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   inflight_total_.fetch_sub(static_cast<std::int64_t>(ln.unacked),
                             std::memory_order_relaxed);
   ln.unacked = 0;
-  ln.inflight_meta.clear();  // replay frames below are not ring-timed
+  ln.inflight_head = 0;  // replay frames below are not ring-timed
+  ln.inflight_count = 0;
   ln.connected = false;
   ln.conn.close();
   FabricEndpoint ep = endpoint(placement_[slot]);
@@ -226,13 +226,13 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   // Integrity, not connectivity: the server claiming fewer sub-updates
   // than it once reported durable (or more than we ever sent) means a
   // lost or foreign slot directory — retrying cannot fix it.
-  if (accepted < ln.replay_base || accepted > ln.sent) {
+  if (accepted < ln.log.base() || accepted > ln.sent) {
     throw std::runtime_error(
         "fabric: server " + describe_endpoint(ep) + " reports " +
         std::to_string(accepted) + " accepted sub-update(s) for slot " +
         std::to_string(slot) + " lane " + std::to_string(p) +
         " outside the client's durable window [" +
-        std::to_string(ln.replay_base) + ", " + std::to_string(ln.sent) + "]");
+        std::to_string(ln.log.base()) + ", " + std::to_string(ln.sent) + "]");
   }
   ln.connected = true;
   // Resend the suffix the (restarted) server has not accepted yet,
@@ -242,19 +242,12 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   while (idx < ln.sent) {
     std::size_t count = static_cast<std::size_t>(
         std::min<std::uint64_t>(kBatchSubs, ln.sent - idx));
-    net::BufWriter w = append_body(
-        ln, slot, p, next_trace_id_.fetch_add(1, std::memory_order_relaxed),
-        idx, count);
-    if (!ln.conn.send_frame(FrameType::kAppend, w.data())) {
+    if (!send_append(ln, slot, p,
+                     next_trace_id_.fetch_add(1, std::memory_order_relaxed),
+                     idx, count)) {
       ln.connected = false;
       return false;
     }
-    if (batches_) batches_->add();
-    if (bytes_) {
-      bytes_->add(w.size() + storage::wire::kFrameOverheadBytes + 1);
-    }
-    ++ln.unacked;
-    inflight_total_.fetch_add(1, std::memory_order_relaxed);
     idx += count;
     while (ln.unacked >= kMaxInflight) {
       if (!read_ack(ln)) return false;
@@ -269,7 +262,7 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
 void FabricRouter::ensure_connected(Lane& ln, std::size_t slot,
                                     std::size_t p) {
   if (ln.connected && ln.conn.valid()) return;
-  const bool is_reconnect = ln.sent > 0 || ln.replay_base > 0;
+  const bool is_reconnect = ln.sent > 0;
   if (is_reconnect) {
     reconnects_count_.fetch_add(1, std::memory_order_relaxed);
     if (reconnects_) reconnects_->add();
@@ -286,29 +279,27 @@ void FabricRouter::ensure_connected(Lane& ln, std::size_t slot,
 }
 
 void FabricRouter::send_batch(Lane& ln, std::size_t slot, std::size_t p) {
-  if (ln.pending.empty()) return;
+  if (ln.staged == 0) return;
   ensure_connected(ln, slot, p);
   const std::uint64_t trace_id =
       next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  // Into the replay buffer BEFORE the send: if the send fails the
-  // reconnect path resends straight from replay, so the batch can
+  // The staged subs are in the wire log already, so once `sent` covers
+  // them a failed send is resent from the log by the reconnect path
+  // (from the server's accepted count, even mid-frame): the batch can
   // never be dropped between "staged" and "on the wire".
   const std::uint64_t base = ln.sent;
-  const std::size_t count = ln.pending.size();
-  for (auto& sub : ln.pending) ln.replay.push_back(std::move(sub));
+  const std::size_t count = ln.staged;
   ln.sent += count;
-  ln.pending.clear();
-  net::BufWriter w = append_body(ln, slot, p, trace_id, base, count);
-  if (batches_) batches_->add();
-  if (bytes_) bytes_->add(w.size() + storage::wire::kFrameOverheadBytes + 1);
-  if (!ln.conn.send_frame(FrameType::kAppend, w.data())) {
+  ln.staged = 0;
+  if (!send_append(ln, slot, p, trace_id, base, count)) {
     ln.connected = false;
-    ensure_connected(ln, slot, p);  // resends from replay
+    ensure_connected(ln, slot, p);  // resends from the log
     return;
   }
-  ++ln.unacked;
-  ln.inflight_meta.emplace_back(trace_id, std::chrono::steady_clock::now());
-  inflight_total_.fetch_add(1, std::memory_order_relaxed);
+  // unacked <= kMaxInflight after the send, so the ring has room.
+  ln.inflight[(ln.inflight_head + ln.inflight_count) % kMaxInflight] =
+      InflightMeta{trace_id, std::chrono::steady_clock::now()};
+  ++ln.inflight_count;
   if (inflight_) {
     inflight_->set(
         static_cast<double>(inflight_total_.load(std::memory_order_relaxed)));
@@ -324,10 +315,8 @@ void FabricRouter::drain_lane(Lane& ln, std::size_t slot, std::size_t p) {
 void FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
                              std::size_t slot) {
   Lane& ln = lane(slot, p);
-  net::BufWriter w;
-  encode_sub_update(sub, w);
-  ln.pending.push_back(w.take());
-  if (ln.pending.size() >= kBatchSubs) send_batch(ln, slot, p);
+  encode_sub_update(sub, ln.log.append());
+  if (++ln.staged >= kBatchSubs) send_batch(ln, slot, p);
 }
 
 bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
@@ -335,7 +324,7 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   updates_pushed_.fetch_add(1, std::memory_order_relaxed);
   // The in-process ShardRouter's split, slot for shard; only the wire
   // form of each sub-update (make_sub_update) is the fabric's own.
-  routing::FeedUpdate sub;
+  routing::FeedUpdate& sub = sub_scratch_[p];
   std::uint64_t ingest_ns = 0;
   stream::split_update(
       update, num_slots_,

@@ -12,24 +12,28 @@
 //     bounded in-flight window (at most kMaxInflight unacked frames
 //     per lane; a full window blocks the producer — backpressure,
 //     never loss),
+//   * encodes each sub-update once, straight into its lane's wire log
+//     (one contiguous byte buffer, reused); an APPEND frame is the
+//     log's byte range plus a header, built in one reused per-lane
+//     buffer — the push path makes no heap allocation once warm,
 //   * survives connection loss ReconnectingSource-style: redial with
 //     util::RetryPolicy backoff, HELLO returns the server's accepted
-//     sub-update count for the lane, and the un-durable replay buffer
-//     is resent from exactly that index — exactly-once across server
-//     SIGKILL + recovery,
+//     sub-update count for the lane, and the un-durable part of the
+//     wire log is resent from exactly that index — exactly-once across
+//     server SIGKILL + recovery,
 //   * serves scatter-gather queries: one thread per slot fans the
 //     query out, results merge in canonical event order, and
 //   * rebalances live (migrate): quiesce a slot, have the source
 //     server cut a drained checkpoint (PR 8 codec), ship the
 //     checkpoint + pinned segment files, install + recover on the
 //     target, flip the placement route, and resume — zero loss, zero
-//     duplication (the replay buffer is empty at the flip because the
-//     checkpoint made everything durable).
+//     duplication (the wire log holds nothing un-durable at the flip
+//     because the checkpoint made everything durable).
 //
 // Exactly-once accounting: a lane's sub-updates are indexed from 0 in
 // send order.  The server acks every APPEND with (accepted_total,
 // durable_total); `durable` advances only at drained checkpoint cuts,
-// and the router prunes its replay buffer to it.  After a server
+// and the router prunes its wire log to it.  After a server
 // crash, HELLO reports the recovered accepted count (== the newest
 // durable cut, which write_checkpoint's atomic rename guarantees is
 // >= anything the client was ever told), so the resend can neither
@@ -41,10 +45,10 @@
 // for the slot being moved.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -57,6 +61,7 @@
 #include "fabric/placement.h"
 #include "fabric/protocol.h"
 #include "fabric/socket.h"
+#include "fabric/wire_log.h"
 #include "telemetry/fleet.h"
 #include "telemetry/metrics.h"
 #include "util/retry.h"
@@ -110,8 +115,8 @@ class FabricRouter {
   // pipeline's finish() does).  Idempotent.
   void close(util::SimTime end_time);
 
-  // Drained checkpoint on every slot; prunes replay buffers to the new
-  // durable totals.  False if any slot's cut failed.
+  // Drained checkpoint on every slot; prunes the lanes' wire logs to
+  // the new durable totals.  False if any slot's cut failed.
   bool checkpoint_all();
 
   // Scatter-gather: fan one QUERY per slot (a thread each), decode the
@@ -154,24 +159,37 @@ class FabricRouter {
   std::size_t endpoint_of(std::size_t slot) const { return placement_[slot]; }
 
  private:
+  // Unacked APPEND frames per lane before the producer blocks on acks.
+  static constexpr std::size_t kMaxInflight = 4;
+  // Sub-updates per APPEND frame.
+  static constexpr std::size_t kBatchSubs = 64;
+
+  // Send time of one unacked APPEND, for its RPC timing.
+  struct InflightMeta {
+    std::uint64_t trace_id = 0;
+    std::chrono::steady_clock::time_point sent_at{};
+  };
+
   struct Lane {
     TcpConn conn;
     bool connected = false;
-    std::uint64_t sent = 0;         // next sub-update index to assign
-    std::uint64_t replay_base = 0;  // index of replay.front()
-    // Encoded sub-updates in [replay_base, sent): everything accepted
-    // but not yet durable on the server — the resend source after a
-    // crash.  Pruned on every ack's durable_total.
-    std::deque<std::vector<std::uint8_t>> replay;
-    // Encoded sub-updates staged for the next APPEND (not yet sent,
-    // not yet indexed).
-    std::vector<std::vector<std::uint8_t>> pending;
+    // The encoded sub-updates [log.base(), sent + staged): the sent ones
+    // are accepted but not yet durable on the server — the resend
+    // source after a crash — and the `staged` ones after them make up
+    // the next APPEND.  Pruned to every ack's durable_total.
+    WireLog log;
+    std::uint64_t sent = 0;  // sub-updates handed to the wire
+    std::size_t staged = 0;
+    net::BufWriter frame;                // APPEND frame, rebuilt per send
+    std::vector<std::uint8_t> ack_buf;   // APPEND_ACK receive buffer
     std::size_t unacked = 0;  // APPEND frames sent, acks not read
-    // (trace_id, send time) per unacked APPEND, FIFO — acks come back
-    // in send order on a lane, so the front entry times the ack being
-    // read.  Cleared on reconnect (the replay path re-times resends).
-    std::deque<std::pair<std::uint64_t, std::chrono::steady_clock::time_point>>
-        inflight_meta;
+    // Ring of the unacked frames sent by send_batch, oldest at
+    // inflight_head — acks come back in send order on a lane, so the
+    // oldest entry times the ack being read.  Emptied on reconnect
+    // (the replay path does not time its resends).
+    std::array<InflightMeta, kMaxInflight> inflight{};
+    std::size_t inflight_head = 0;
+    std::size_t inflight_count = 0;
   };
 
   Lane& lane(std::size_t slot, std::size_t p) {
@@ -184,7 +202,13 @@ class FabricRouter {
   void stage_sub(std::size_t p, const routing::FeedUpdate& sub,
                  std::size_t slot);
   void send_batch(Lane& ln, std::size_t slot, std::size_t p);
-  // Reads one APPEND_ACK, retiring its frame and pruning replay; false
+  // Builds the APPEND frame for subs [from, from + count), which must
+  // be in the lane's wire log, and sends it.  False (nothing counted)
+  // when the send fails.
+  bool send_append(Lane& ln, std::size_t slot, std::size_t p,
+                   std::uint64_t trace_id, std::uint64_t from,
+                   std::size_t count);
+  // Reads one APPEND_ACK, retiring its frame and pruning the log; false
   // (lane marked disconnected) when the connection is lost.
   bool read_ack(Lane& ln);
   // read_ack plus RPC timing; reconnects (with replay) on loss.
@@ -195,13 +219,8 @@ class FabricRouter {
   // lost connection (the caller retries); throws when the server
   // refuses the HELLO, since retrying would only repeat the refusal.
   bool try_connect(Lane& ln, std::size_t slot, std::size_t p);
-  // Drop replay entries below the server's durable total.
+  // Drop sent subs below the server's durable total from the log.
   static void prune_replay(Lane& ln, std::uint64_t durable);
-  // APPEND body for replay indices [from, from + count), which must
-  // already be in the lane's replay buffer.
-  static net::BufWriter append_body(const Lane& ln, std::size_t slot,
-                                    std::size_t p, std::uint64_t trace_id,
-                                    std::uint64_t from, std::size_t count);
 
   // Optional trace attribution for a control RPC: when label and
   // trace_id are set, the RPC's round trip is offered to the local
@@ -232,6 +251,8 @@ class FabricRouter {
   std::vector<std::size_t> placement_;  // slot -> endpoint index
   std::vector<std::unique_ptr<std::shared_mutex>> slot_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  // Per-producer sub-update scratch for push(), reused across updates.
+  std::vector<routing::FeedUpdate> sub_scratch_;
   std::atomic<std::uint64_t> updates_pushed_{0};
   std::atomic<std::uint64_t> reconnects_count_{0};
   std::atomic<std::int64_t> inflight_total_{0};

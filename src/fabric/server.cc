@@ -22,13 +22,11 @@ namespace {
 
 // Wall-clock delay between the client stamping a traced RPC and the
 // server starting to handle it (wire + accept queue + clock skew).
-void record_ingress_delay(telemetry::MetricsRegistry& reg,
+void record_ingress_delay(telemetry::LatencyHistogram* hist,
                           std::uint64_t origin_ns) {
   if (origin_ns == 0) return;
   const std::uint64_t now = util::wall_clock_ns();
-  if (now > origin_ns) {
-    reg.histogram("fabric.server.ingress_delay_ns").record(now - origin_ns);
-  }
+  if (now > origin_ns) hist->record(now - origin_ns);
 }
 
 }  // namespace
@@ -166,6 +164,8 @@ void ShardServer::open_slot_session_locked(Slot& s, std::uint32_t id) {
   reg.describe("fabric.server.ingress_delay_ns",
                "Client send -> server receive delay per traced RPC (ns, "
                "wall clocks on both sides; includes clock skew)");
+  s.append_ns = &reg.histogram("fabric.server.append_ns");
+  s.ingress_delay_ns = &reg.histogram("fabric.server.ingress_delay_ns");
   s.session->start();
   const auto& recovered = s.session->recovered_updates_accepted();
   for (std::size_t p = 0; p < config_.num_producers; ++p) {
@@ -184,9 +184,10 @@ bool ShardServer::send_error(TcpConn& conn, const std::string& message) {
 }
 
 void ShardServer::serve(TcpConn conn) {
+  ConnBuffers bufs;
   // HELLO first: version negotiation, and for data lanes the accepted
   // count the client resumes from.
-  auto hello = conn.recv_frame();
+  auto hello = conn.recv_frame_into(bufs.rx);
   if (!hello || hello->type != FrameType::kHello) return;
   net::BufReader r(hello->body);
   std::uint8_t peer_min = r.u8();
@@ -215,17 +216,17 @@ void ShardServer::serve(TcpConn conn) {
   ack.u64(accepted);
   if (!conn.send_frame(FrameType::kHelloAck, ack.data())) return;
   for (;;) {
-    auto frame = conn.recv_frame();
+    auto frame = conn.recv_frame_into(bufs.rx);
     if (!frame) return;  // EOF / reset / torn frame
-    if (!handle_frame(conn, *frame)) return;
+    if (!handle_frame(conn, *frame, bufs)) return;
   }
 }
 
-bool ShardServer::handle_frame(TcpConn& conn,
-                               const TcpConn::FramePayload& frame) {
+bool ShardServer::handle_frame(TcpConn& conn, const TcpConn::FrameView& frame,
+                               ConnBuffers& bufs) {
   switch (frame.type) {
     case FrameType::kAppend:
-      return handle_append(conn, frame.body);
+      return handle_append(conn, frame.body, bufs);
     case FrameType::kQuery:
       return handle_query(conn, frame.body);
     case FrameType::kCheckpoint:
@@ -258,8 +259,7 @@ bool ShardServer::handle_frame(TcpConn& conn,
   }
 }
 
-bool ShardServer::handle_append(TcpConn& conn,
-                                const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_append(TcpConn& conn, Body body, ConnBuffers& bufs) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   std::uint32_t producer = r.u32();
@@ -282,13 +282,10 @@ bool ShardServer::handle_append(TcpConn& conn,
   }
   // Server half of the RPC trace: a span bound to the client's trace
   // id, recorded into the slot session's registry/ring so STATS ships
-  // it back for stitching.  Registry lookups here are per-batch, not
-  // per-sub-update — wiring cost amortized over the batch.
-  telemetry::MetricsRegistry& reg = s.session->telemetry();
-  record_ingress_delay(reg, origin_ns);
-  telemetry::ScopedSpan span(&reg.histogram("fabric.server.append_ns"),
-                             &reg.trace(), "fabric.server.append", producer,
-                             trace_id);
+  // it back for stitching.
+  record_ingress_delay(s.ingress_delay_ns, origin_ns);
+  telemetry::ScopedSpan span(s.append_ns, &s.session->telemetry().trace(),
+                             "fabric.server.append", producer, trace_id);
   std::lock_guard lane(*s.lane_mu[producer]);
   if (base > s.accepted[producer]) {
     // The client never advances past an unacked frame, so a gap means
@@ -298,24 +295,26 @@ bool ShardServer::handle_append(TcpConn& conn,
                                 std::to_string(s.accepted[producer]));
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto sub = decode_sub_update(r);
-    if (!sub) return send_error(conn, "malformed sub-update");
+    if (!decode_sub_update_into(r, bufs.sub)) {
+      return send_error(conn, "malformed sub-update");
+    }
     std::uint64_t index = base + i;
     if (index < s.accepted[producer]) continue;  // replay duplicate
-    if (!s.session->push(*sub, producer)) {
+    if (!s.session->push(bufs.sub, producer)) {
       return send_error(conn, "slot session refused a sub-update");
     }
     s.accepted[producer] = index + 1;
   }
   if (!r.at_end()) return send_error(conn, "trailing bytes after APPEND");
-  net::BufWriter ack;
-  ack.u64(s.accepted[producer]);
-  ack.u64(s.durable[producer]);
-  return conn.send_frame(FrameType::kAppendAck, ack.data());
+  bufs.tx.clear();
+  const std::size_t start = begin_frame(bufs.tx, FrameType::kAppendAck);
+  bufs.tx.u64(s.accepted[producer]);
+  bufs.tx.u64(s.durable[producer]);
+  end_frame(bufs.tx, start);
+  return conn.send_framed(bufs.tx.data());
 }
 
-bool ShardServer::handle_query(TcpConn& conn,
-                               const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_query(TcpConn& conn, Body body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   const std::uint64_t trace_id = r.u64();
@@ -327,7 +326,7 @@ bool ShardServer::handle_query(TcpConn& conn,
   std::optional<telemetry::ScopedSpan> span;
   if (s.session) {
     telemetry::MetricsRegistry& reg = s.session->telemetry();
-    record_ingress_delay(reg, origin_ns);
+    record_ingress_delay(s.ingress_delay_ns, origin_ns);
     span.emplace(&reg.histogram("fabric.server.query_ns"), &reg.trace(),
                  "fabric.server.query", slot_id, trace_id);
     events = s.session->events();
@@ -343,8 +342,7 @@ bool ShardServer::handle_query(TcpConn& conn,
   return conn.send_frame(FrameType::kQueryResult, out.data());
 }
 
-bool ShardServer::handle_checkpoint(TcpConn& conn,
-                                    const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_checkpoint(TcpConn& conn, Body body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   const std::uint64_t trace_id = r.u64();
@@ -355,7 +353,7 @@ bool ShardServer::handle_checkpoint(TcpConn& conn,
   bool ok = false;
   if (s.session && !s.session->closed()) {
     telemetry::MetricsRegistry& reg = s.session->telemetry();
-    record_ingress_delay(reg, origin_ns);
+    record_ingress_delay(s.ingress_delay_ns, origin_ns);
     telemetry::ScopedSpan span(&reg.histogram("fabric.server.checkpoint_ns"),
                                &reg.trace(), "fabric.server.checkpoint",
                                slot_id, trace_id);
@@ -375,8 +373,7 @@ bool ShardServer::handle_checkpoint(TcpConn& conn,
   return conn.send_frame(FrameType::kCheckpointAck, ack.data());
 }
 
-bool ShardServer::handle_stats(TcpConn& conn,
-                               const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_stats(TcpConn& conn, Body body) {
   net::BufReader r(body);
   const std::uint64_t trace_id = r.u64();
   (void)trace_id;  // carried for symmetry; STATS itself is not traced
@@ -401,7 +398,7 @@ bool ShardServer::handle_stats(TcpConn& conn,
     std::shared_lock lock(s.mu);
     if (s.released || !s.session) continue;
     telemetry::MetricsRegistry& reg = s.session->telemetry();
-    record_ingress_delay(reg, origin_ns);
+    record_ingress_delay(s.ingress_delay_ns, origin_ns);
     telemetry::SlotTelemetry slot_telemetry;
     slot_telemetry.slot = id;
     slot_telemetry.metrics = reg.snapshot();
@@ -427,8 +424,7 @@ bool ShardServer::handle_stats(TcpConn& conn,
   return conn.send_frame(FrameType::kStatsAck, out.data());
 }
 
-bool ShardServer::handle_close(TcpConn& conn,
-                               const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_close(TcpConn& conn, Body body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   std::uint64_t end_time = r.u64();
@@ -464,8 +460,7 @@ bool ShardServer::handle_health(TcpConn& conn) {
   return conn.send_frame(FrameType::kHealthAck, ack.data());
 }
 
-bool ShardServer::handle_handoff_fetch(TcpConn& conn,
-                                       const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_handoff_fetch(TcpConn& conn, Body body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   if (!r.ok() || !r.at_end()) {
@@ -488,8 +483,7 @@ bool ShardServer::handle_handoff_fetch(TcpConn& conn,
   return conn.send_frame(FrameType::kHandoffState, out.data());
 }
 
-bool ShardServer::handle_handoff_install(
-    TcpConn& conn, const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_handoff_install(TcpConn& conn, Body body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   if (!r.ok()) return send_error(conn, "malformed HANDOFF_INSTALL");
@@ -529,14 +523,15 @@ bool ShardServer::handle_handoff_install(
   return conn.send_frame(FrameType::kHandoffAck, ack.data());
 }
 
-bool ShardServer::handle_release(TcpConn& conn,
-                                 const std::vector<std::uint8_t>& body) {
+bool ShardServer::handle_release(TcpConn& conn, Body body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   if (!r.ok() || !r.at_end()) return send_error(conn, "malformed RELEASE");
   Slot& s = slot(slot_id);
   std::unique_lock lock(s.mu);
   s.session.reset();
+  s.append_ns = nullptr;
+  s.ingress_delay_ns = nullptr;
   s.released = true;
   for (std::size_t p = 0; p < config_.num_producers; ++p) {
     s.accepted[p] = 0;

@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,23 +99,34 @@ class ShardServer {
     std::vector<std::uint64_t> accepted;
     std::vector<std::uint64_t> durable;
     bool released = false;
+    // The session's RPC histograms, looked up once when it opens (null
+    // while no session is open).
+    telemetry::LatencyHistogram* append_ns = nullptr;
+    telemetry::LatencyHistogram* ingress_delay_ns = nullptr;
   };
+
+  // One connection's buffers, reused for every frame it carries.
+  struct ConnBuffers {
+    std::vector<std::uint8_t> rx;  // received frame (bodies view into it)
+    net::BufWriter tx;             // APPEND_ACK frame
+    routing::FeedUpdate sub;       // sub-update decode scratch
+  };
+  using Body = std::span<const std::uint8_t>;
 
   void accept_loop();
   void serve(TcpConn conn);
   // Handlers return false to drop the connection (after kError).
-  bool handle_frame(TcpConn& conn, const TcpConn::FramePayload& frame);
-  bool handle_append(TcpConn& conn, const std::vector<std::uint8_t>& body);
-  bool handle_query(TcpConn& conn, const std::vector<std::uint8_t>& body);
-  bool handle_checkpoint(TcpConn& conn, const std::vector<std::uint8_t>& body);
-  bool handle_stats(TcpConn& conn, const std::vector<std::uint8_t>& body);
-  bool handle_close(TcpConn& conn, const std::vector<std::uint8_t>& body);
+  bool handle_frame(TcpConn& conn, const TcpConn::FrameView& frame,
+                    ConnBuffers& bufs);
+  bool handle_append(TcpConn& conn, Body body, ConnBuffers& bufs);
+  bool handle_query(TcpConn& conn, Body body);
+  bool handle_checkpoint(TcpConn& conn, Body body);
+  bool handle_stats(TcpConn& conn, Body body);
+  bool handle_close(TcpConn& conn, Body body);
   bool handle_health(TcpConn& conn);
-  bool handle_handoff_fetch(TcpConn& conn,
-                            const std::vector<std::uint8_t>& body);
-  bool handle_handoff_install(TcpConn& conn,
-                              const std::vector<std::uint8_t>& body);
-  bool handle_release(TcpConn& conn, const std::vector<std::uint8_t>& body);
+  bool handle_handoff_fetch(TcpConn& conn, Body body);
+  bool handle_handoff_install(TcpConn& conn, Body body);
+  bool handle_release(TcpConn& conn, Body body);
 
   std::string slot_dir(std::uint32_t slot) const;
   // Slot by id, created (and recovered from its directory) on first

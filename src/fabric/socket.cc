@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "net/bytes.h"
 #include "storage/wire.h"
@@ -81,46 +80,66 @@ bool TcpConn::recv_all(std::uint8_t* p, std::size_t n) {
   return true;
 }
 
-bool TcpConn::send_frame(FrameType type, std::span<const std::uint8_t> body) {
-  if (fd_ < 0) return false;
-  net::BufWriter payload;
-  payload.u8(static_cast<std::uint8_t>(type));
-  payload.bytes(body);
-  net::BufWriter frame;
-  storage::wire::encode_frame(frame, kFabricMagic, kFabricVersion,
-                              payload.data());
-  return send_all(frame.data().data(), frame.size());
+std::size_t begin_frame(net::BufWriter& w, FrameType type) {
+  const std::size_t start =
+      storage::wire::begin_frame(w, kFabricMagic, kFabricVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  return start;
 }
 
-std::optional<TcpConn::FramePayload> TcpConn::recv_frame() {
+void end_frame(net::BufWriter& w, std::size_t start) {
+  storage::wire::end_frame(w, start);
+}
+
+bool TcpConn::send_frame(FrameType type, std::span<const std::uint8_t> body) {
+  net::BufWriter frame;
+  const std::size_t start = begin_frame(frame, type);
+  frame.bytes(body);
+  end_frame(frame, start);
+  return send_framed(frame.data());
+}
+
+bool TcpConn::send_framed(std::span<const std::uint8_t> frames) {
+  if (fd_ < 0) return false;
+  return send_all(frames.data(), frames.size());
+}
+
+std::optional<TcpConn::FrameView> TcpConn::recv_frame_into(
+    std::vector<std::uint8_t>& buf) {
   if (fd_ < 0) return std::nullopt;
   // Header first (magic + version + payload_len), then the rest of the
   // frame, then one decode_frame pass over the whole buffer so the CRC
   // check is exactly the record codec's.
-  std::uint8_t head[7];
-  if (!recv_all(head, sizeof(head))) return std::nullopt;
-  std::uint16_t magic =
-      static_cast<std::uint16_t>((head[0] << 8) | head[1]);
-  std::uint32_t len = (static_cast<std::uint32_t>(head[3]) << 24) |
-                      (static_cast<std::uint32_t>(head[4]) << 16) |
-                      (static_cast<std::uint32_t>(head[5]) << 8) |
-                      static_cast<std::uint32_t>(head[6]);
+  constexpr std::size_t kHeader = 7;
+  buf.resize(kHeader);
+  if (!recv_all(buf.data(), kHeader)) return std::nullopt;
+  std::uint16_t magic = static_cast<std::uint16_t>((buf[0] << 8) | buf[1]);
+  std::uint32_t len = (static_cast<std::uint32_t>(buf[3]) << 24) |
+                      (static_cast<std::uint32_t>(buf[4]) << 16) |
+                      (static_cast<std::uint32_t>(buf[5]) << 8) |
+                      static_cast<std::uint32_t>(buf[6]);
   if (magic != kFabricMagic || len > kMaxFabricPayload) return std::nullopt;
-  std::vector<std::uint8_t> frame(sizeof(head) + len + 4);
-  std::memcpy(frame.data(), head, sizeof(head));
-  if (!recv_all(frame.data() + sizeof(head), len + 4)) return std::nullopt;
+  buf.resize(kHeader + len + 4);
+  if (!recv_all(buf.data() + kHeader, len + 4)) return std::nullopt;
   // Frame headers of any version up to ours are read: every version
   // shares this frame layout, and an older peer's HELLO must reach
   // negotiation to be refused with an ERROR naming the mismatch.
-  net::BufReader reader(frame);
+  net::BufReader reader(buf);
   auto decoded = storage::wire::decode_frame(reader, kFabricMagic,
                                              /*min_version=*/1, kFabricVersion,
                                              kMaxFabricPayload);
   if (!decoded || decoded->payload.empty()) return std::nullopt;
-  FramePayload out;
-  out.type = static_cast<FrameType>(decoded->payload[0]);
-  out.body.assign(decoded->payload.begin() + 1, decoded->payload.end());
-  return out;
+  return FrameView{static_cast<FrameType>(decoded->payload[0]),
+                   decoded->payload.subspan(1)};
+}
+
+std::optional<TcpConn::FramePayload> TcpConn::recv_frame() {
+  std::vector<std::uint8_t> buf;
+  auto view = recv_frame_into(buf);
+  if (!view) return std::nullopt;
+  return FramePayload{view->type,
+                      std::vector<std::uint8_t>(view->body.begin(),
+                                                view->body.end())};
 }
 
 std::optional<TcpListener> TcpListener::listen(std::uint16_t port) {

@@ -1,12 +1,16 @@
 // Minimal blocking TCP transport for the fabric protocol.
 //
 // One frame per send/recv, framed by storage::wire (the record codec's
-// framing) with the fabric magic.  Connections are blocking and
-// processed strictly in order on both sides, so a lane's APPEND acks
-// always arrive in send order — the router's bounded in-flight window
-// needs no reader thread.  All failures are returned, never thrown:
-// the router turns them into reconnect-with-replay, the server closes
-// the connection.
+// framing) with the fabric magic.  The hot paths allocate nothing per
+// frame: begin_frame/end_frame build a frame in place in a caller's
+// reused writer (send_framed sends it whole), and recv_frame_into
+// receives into a caller's reused buffer, returning a view.
+//
+// Connections are blocking and processed strictly in order on both
+// sides, so a lane's APPEND acks always arrive in send order — the
+// router's bounded in-flight window needs no reader thread.  All
+// failures are returned, never thrown: the router turns them into
+// reconnect-with-replay, the server closes the connection.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,15 @@
 #include "fabric/protocol.h"
 
 namespace bgpbh::fabric {
+
+// In-place framing: begin_frame appends the frame header (magic,
+// version, a payload_len placeholder) and the type byte to `w` and
+// returns the frame's start offset; the caller appends the body, then
+// end_frame patches payload_len and appends the CRC.  Both are
+// storage::wire's begin_frame/end_frame, so the fabric and the record
+// codec keep one frame encoder.
+std::size_t begin_frame(net::BufWriter& w, FrameType type);
+void end_frame(net::BufWriter& w, std::size_t start);
 
 class TcpConn {
  public:
@@ -44,9 +57,21 @@ class TcpConn {
     FrameType type;
     std::vector<std::uint8_t> body;  // payload minus the type byte
   };
+  // A received frame whose body points into the caller's buffer; valid
+  // until that buffer is next received into.
+  struct FrameView {
+    FrameType type;
+    std::span<const std::uint8_t> body;
+  };
 
+  // Frames `body` (in a buffer of its own) and sends it.
   bool send_frame(FrameType type, std::span<const std::uint8_t> body);
-  // nullopt on EOF, I/O error, or any framing/CRC defect.
+  // Sends bytes already framed with begin_frame/end_frame, whole.
+  bool send_framed(std::span<const std::uint8_t> frames);
+  // Receives one frame into `buf` (resized to fit; its capacity is
+  // reused).  nullopt on EOF, I/O error, or any framing/CRC defect.
+  std::optional<FrameView> recv_frame_into(std::vector<std::uint8_t>& buf);
+  // recv_frame_into with the body copied out.
   std::optional<FramePayload> recv_frame();
 
  private:

@@ -7,6 +7,7 @@
 // parsers, avoids deep error plumbing).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -19,18 +20,9 @@ namespace bgpbh::net {
 class BufWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
+  void u16(std::uint16_t v) { be(v); }
+  void u32(std::uint32_t v) { be(v); }
+  void u64(std::uint64_t v) { be(v); }
   void bytes(std::span<const std::uint8_t> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
@@ -52,7 +44,26 @@ class BufWriter {
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
+  // Reuse: both keep the capacity, so a writer that is cleared or
+  // compacted and refilled stops allocating once it has grown.
+  void clear() { buf_.clear(); }
+  // Drops the first n bytes; later bytes move to the front.
+  void erase_front(std::size_t n) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+
  private:
+  // Big-endian store of an unsigned integer: one size check for all its
+  // bytes (a push_back per byte costs several times as much).
+  template <typename T>
+  void be(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

@@ -14,6 +14,7 @@
 // both speak the highest common one (negotiate_version).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -23,27 +24,43 @@
 
 namespace bgpbh::storage::wire {
 
-// magic(2) + version(1) + payload_len(4) ... crc(4).
-inline constexpr std::size_t kFrameOverheadBytes = 11;
-
 struct Frame {
   std::uint8_t version = 0;
   std::span<const std::uint8_t> payload;
 };
 
-// Appends one framed payload.  The CRC covers the version byte and the
-// payload, so a frame truncated or bit-flipped anywhere past the magic
-// fails verification.
+// A frame built in place: begin_frame appends the header with a
+// payload_len placeholder and returns the frame's start offset, the
+// caller appends the payload, and end_frame patches payload_len and
+// appends the CRC.  The CRC covers the version byte and the payload, so
+// a frame truncated or bit-flipped anywhere past the magic fails
+// verification.
+inline std::size_t begin_frame(net::BufWriter& out, std::uint16_t magic,
+                               std::uint8_t version) {
+  const std::size_t start = out.size();
+  out.u16(magic);
+  out.u8(version);
+  out.u32(0);
+  return start;
+}
+
+inline void end_frame(net::BufWriter& out, std::size_t start) {
+  constexpr std::size_t kHeaderBytes = 7;  // magic + version + payload_len
+  const std::span<const std::uint8_t> frame(out.data());
+  const auto payload = frame.subspan(start + kHeaderBytes);
+  out.patch_u32(start + 3, static_cast<std::uint32_t>(payload.size()));
+  std::uint32_t crc = util::crc32(frame.subspan(start + 2, 1));  // version
+  crc = util::crc32(payload, crc);
+  out.u32(crc);
+}
+
+// Appends one framed payload.
 inline void encode_frame(net::BufWriter& out, std::uint16_t magic,
                          std::uint8_t version,
                          std::span<const std::uint8_t> payload) {
-  out.u16(magic);
-  out.u8(version);
-  out.u32(static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = util::crc32(std::span(&version, 1));
-  crc = util::crc32(payload, crc);
+  const std::size_t start = begin_frame(out, magic, version);
   out.bytes(payload);
-  out.u32(crc);
+  end_frame(out, start);
 }
 
 // Decodes one frame, advancing `in` past it on success.  Rejects bad

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "util/crc32.h"
+#include "util/rng.h"
+
 namespace bgpbh::net {
 namespace {
 
@@ -93,6 +98,77 @@ TEST(BufReader, SubReaderIsolatesRange) {
   EXPECT_TRUE(sub.at_end());
   EXPECT_EQ(r.u16(), 0xCCCC);  // outer reader continues after the sub
   EXPECT_TRUE(r.ok());
+}
+
+TEST(BufWriter, ClearAndEraseFrontKeepCapacity) {
+  BufWriter w;
+  for (int i = 0; i < 100; ++i) w.u8(static_cast<std::uint8_t>(i));
+  const std::size_t cap = w.data().capacity();
+  w.erase_front(90);
+  ASSERT_EQ(w.size(), 10u);
+  EXPECT_EQ(w.data()[0], 90);
+  EXPECT_EQ(w.data()[9], 99);
+  EXPECT_EQ(w.data().capacity(), cap);
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.data().capacity(), cap);
+  w.u32(0x01020304);
+  EXPECT_EQ(w.data()[3], 0x04);
+}
+
+// The classic byte-at-a-time CRC-32 (IEEE, reflected 0xEDB88320), kept
+// here as the reference the sliced implementation must equal.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data,
+                              std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::span<const std::uint8_t> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+// The standard check value: it pins every CRC already on disk (segment
+// records, checkpoints) and on the fabric wire across versions.
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(util::crc32(as_bytes("123456789")), 0xCBF43926u);
+  EXPECT_EQ(util::crc32({}), 0u);
+  EXPECT_EQ(util::crc32(as_bytes("The quick brown fox jumps over the lazy dog")),
+            0x414FA339u);
+}
+
+TEST(Crc32, ChainedCallsEqualOneShot) {
+  util::Rng rng(41);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> buf(rng.uniform(300));
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::span<const std::uint8_t> all(buf);
+    const std::size_t cut = rng.uniform(buf.size() + 1);
+    const std::uint32_t chained =
+        util::crc32(all.subspan(cut), util::crc32(all.first(cut)));
+    EXPECT_EQ(chained, util::crc32(all)) << "size " << buf.size() << " cut "
+                                         << cut;
+  }
+}
+
+// Every length 0..300 covers every tail length mod 8, each with a zero
+// and a nonzero seed.
+TEST(Crc32, SlicedEqualsByteAtATimeReference) {
+  util::Rng rng(7);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    std::vector<std::uint8_t> buf(len);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng.next_u64());
+    EXPECT_EQ(util::crc32(buf), reference_crc32(buf, 0)) << "len " << len;
+    EXPECT_EQ(util::crc32(buf, seed), reference_crc32(buf, seed))
+        << "len " << len;
+  }
 }
 
 TEST(BufReader, EmptyBuffer) {

@@ -15,7 +15,11 @@
 //     checkpoint, restart it on the same directory/port, and the
 //     lane replay completes the run with zero loss/duplication,
 //   * rebalance: migrate every slot onto a server spawned mid-stream,
-//     keep feeding, and the final event set is still byte-identical.
+//     keep feeding, and the final event set is still byte-identical,
+//   * wire log: byte ranges stay exact across partial drops and
+//     compaction; lanes' logs compact across checkpoint rounds, then a
+//     SIGKILL with frames in flight replays from the compacted log and
+//     the events equal the sequential engine's.
 #include "fabric/router.h"
 
 #include <gtest/gtest.h>
@@ -36,9 +40,12 @@
 
 #include "api/session.h"
 #include "bgp/rib.h"
+#include "core/engine.h"
+#include "core/study.h"
 #include "fabric/placement.h"
 #include "fabric/protocol.h"
 #include "fabric/socket.h"
+#include "fabric/wire_log.h"
 #include "net/bytes.h"
 #include "storage/wire.h"
 #include "stream/pipeline.h"
@@ -744,6 +751,154 @@ TEST(FabricRebalance, MidStreamMigrationLosesNothing) {
   fs::remove_all(dir0);
   fs::remove_all(dir1);
   fs::remove_all(dir2);
+}
+
+// ---- wire log: byte ranges across partial drops and compaction -------
+
+std::vector<std::uint8_t> entry_bytes(std::uint64_t index) {
+  // Entries of 1..13 bytes, each byte naming its entry.
+  return std::vector<std::uint8_t>(1 + index % 13,
+                                   static_cast<std::uint8_t>(index));
+}
+
+std::vector<std::uint8_t> expected_range(std::uint64_t from,
+                                         std::uint64_t to) {
+  std::vector<std::uint8_t> out;
+  for (std::uint64_t i = from; i < to; ++i) {
+    const auto e = entry_bytes(i);
+    out.insert(out.end(), e.begin(), e.end());
+  }
+  return out;
+}
+
+TEST(FabricWireLog, RangesSurvivePartialDropsAndCompaction) {
+  WireLog log;
+  std::uint64_t next = 0;
+  const auto append_until = [&](std::uint64_t end) {
+    for (; next < end; ++next) log.append().bytes(entry_bytes(next));
+  };
+  const auto range_is = [&](std::uint64_t from, std::uint64_t to) {
+    const auto r = log.range(from, to);
+    return std::vector<std::uint8_t>(r.begin(), r.end()) ==
+           expected_range(from, to);
+  };
+  append_until(100);
+  EXPECT_EQ(log.base(), 0u);
+  EXPECT_EQ(log.end(), 100u);
+  EXPECT_TRUE(range_is(0, 100));
+  const std::size_t full = log.size_bytes();
+
+  // A dead prefix under half the buffer only moves the base.
+  log.drop_before(10);
+  EXPECT_EQ(log.base(), 10u);
+  EXPECT_EQ(log.size_bytes(), full);
+  EXPECT_TRUE(range_is(10, 100));
+  EXPECT_TRUE(range_is(37, 64));
+
+  // Past half, the prefix is cut off; live entries keep their bytes.
+  log.drop_before(60);
+  EXPECT_EQ(log.base(), 60u);
+  EXPECT_EQ(log.size_bytes(), expected_range(60, 100).size());
+  EXPECT_TRUE(range_is(60, 100));
+  EXPECT_TRUE(range_is(75, 75));
+
+  // Appends after a compaction, then more rounds of drops.
+  append_until(250);
+  for (std::uint64_t cut : {61u, 130u, 131u, 200u, 249u}) {
+    log.drop_before(cut);
+    EXPECT_EQ(log.base(), cut);
+    EXPECT_EQ(log.end(), 250u);
+    EXPECT_TRUE(range_is(cut, 250)) << "cut " << cut;
+    EXPECT_TRUE(range_is(cut, cut + 1)) << "cut " << cut;
+    EXPECT_LE(log.size_bytes(), 2 * expected_range(cut, 250).size() + 13)
+        << "cut " << cut;
+  }
+
+  // Dropping beyond the end stops at the end; everything is dead then.
+  log.drop_before(1000);
+  EXPECT_EQ(log.base(), 250u);
+  EXPECT_EQ(log.end(), 250u);
+  EXPECT_EQ(log.size_bytes(), 0u);
+
+  // Capacity is kept: refilling with what the log held before does not
+  // grow the buffer.
+  const std::size_t capacity = log.capacity_bytes();
+  append_until(400);
+  EXPECT_EQ(log.capacity_bytes(), capacity);
+  EXPECT_TRUE(range_is(250, 400));
+}
+
+// ---- wire log: compaction across checkpoint rounds, then a crash -----
+//
+// A lane keeps its sub-updates in one byte log until the server reports
+// them durable, and every drained checkpoint lets the router cut the
+// dead prefix off.  Push in rounds with checkpoint_all() between them,
+// so every lane's log compacts several times; then SIGKILL a server
+// while APPEND frames are unacked (a lane reads acks only when its
+// window fills or it is flushed, so frames sent since the last cut are
+// in flight), restart it on the same directory and port, and finish
+// the stream.  The resend must come out of the compacted log at
+// exactly the server's recovered index: the events equal the
+// sequential engine's.
+
+TEST(FabricReplayLog, CompactedLogReplaysExactlyAfterKill) {
+  const Baseline& base = baseline();
+  core::Study study(study_config());
+  core::InferenceEngine engine(study.dictionary(), study.registry());
+  for (const auto& u : base.updates) engine.process(u.platform, u.update);
+  engine.finish(study_config().window_end);
+  std::vector<PeerEvent> sequential = engine.events();
+  core::canonical_sort(sequential);
+  ASSERT_FALSE(sequential.empty());
+
+  const std::size_t slots = 3, producers = 2;
+  std::string dir0 = temp_dir("bgpbh_fabric_log_0");
+  std::string dir1 = temp_dir("bgpbh_fabric_log_1");
+  ServerProc s0 = ServerProc::spawn(dir0, producers);
+  ServerProc s1 = ServerProc::spawn(dir1, producers);
+  ASSERT_TRUE(s0.valid());
+  ASSERT_TRUE(s1.valid());
+  std::vector<ServerProc*> refs = {&s0, &s1};
+  api::AnalysisSession session(fabric_session_config(slots, producers, refs));
+  FabricRouter* fabric = session.fabric();
+  const auto parts = partition(base.updates, producers);
+  // Pushes parts[p][from * n / 10, to * n / 10) for every producer.
+  const auto push_tenths = [&](std::size_t from, std::size_t to) {
+    for (std::size_t p = 0; p < producers; ++p) {
+      const std::size_t n = parts[p].size();
+      for (std::size_t i = from * n / 10; i < to * n / 10; ++i) {
+        ASSERT_TRUE(session.push(parts[p][i], p));
+      }
+    }
+  };
+  // Four rounds of a tenth each, a drained cut after every round.
+  for (std::size_t round = 0; round < 4; ++round) {
+    push_tenths(round, round + 1);
+    ASSERT_TRUE(fabric->checkpoint_all()) << "round " << round;
+  }
+  // Three tenths past the last cut, then the kill with frames in flight.
+  push_tenths(4, 7);
+  const std::uint16_t port = s0.port;
+  s0.kill_hard();
+  s0 = ServerProc::spawn(dir0, producers, port);
+  ASSERT_TRUE(s0.valid());
+  push_tenths(7, 10);
+  for (std::size_t p = 0; p < producers; ++p) session.flush(p);
+  session.close(study_config().window_end);
+  EXPECT_GT(fabric->reconnects(), 0u)
+      << "the kill was never noticed: the replay path was not exercised";
+  EXPECT_EQ(session.updates_pushed(), base.updates.size());
+  EXPECT_TRUE(session.events() == sequential)
+      << "events diverged from the sequential engine: the replay from the "
+         "compacted log lost or duplicated sub-updates";
+  fabric->shutdown_endpoints();
+  for (ServerProc* s : {&s0, &s1}) {
+    int status = s->wait_exit();
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+  fs::remove_all(dir0);
+  fs::remove_all(dir1);
 }
 
 }  // namespace

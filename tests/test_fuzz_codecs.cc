@@ -729,6 +729,69 @@ TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInput) {
   }
 }
 
+// The server decodes every sub-update into one reused scratch value.
+// Over random, mutated and truncated inputs — accepted and rejected
+// ones interleaved, so the scratch is left holding every kind of
+// half-decoded state — decoding into the scratch must agree with a
+// fresh decode on accept/reject, on the value, and on where the reader
+// stops.
+TEST_P(FuzzSeedTest, SubUpdateDecodeIntoScratchAgreesWithFreshDecode) {
+  util::Rng rng(GetParam() ^ 0x5C7A);
+  std::vector<std::vector<std::uint8_t>> valid;
+  for (const routing::FeedUpdate& fu :
+       {stamped_sub_update(), multi_prefix_update()}) {
+    net::BufWriter w;
+    fabric::encode_sub_update(fu, w);
+    valid.push_back(w.take());
+  }
+  {
+    routing::FeedUpdate bare = stamped_sub_update();
+    bare.update.body = bgp::UpdateBody();
+    bare.update.body.withdrawn.push_back(*net::Prefix::parse("2a00:1::/32"));
+    net::BufWriter w;
+    fabric::encode_sub_update(bare, w);
+    valid.push_back(w.take());
+  }
+  routing::FeedUpdate scratch;
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<std::uint8_t> input;
+    switch (rng.uniform(4)) {
+      case 0:
+        input = random_bytes(rng, 512);
+        break;
+      case 1:
+        input = valid[rng.uniform(valid.size())];
+        break;
+      case 2: {
+        input = valid[rng.uniform(valid.size())];
+        const std::size_t flips = 1 + rng.uniform(3);
+        for (std::size_t f = 0; f < flips; ++f) {
+          input[rng.uniform(input.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.uniform(8));
+        }
+        break;
+      }
+      default: {
+        const auto& full = valid[rng.uniform(valid.size())];
+        input.assign(full.begin(), full.begin() + rng.uniform(full.size()));
+        break;
+      }
+    }
+    net::BufReader fresh_reader(input);
+    const auto fresh = fabric::decode_sub_update(fresh_reader);
+    net::BufReader into_reader(input);
+    const bool ok = fabric::decode_sub_update_into(into_reader, scratch);
+    ASSERT_EQ(ok, fresh.has_value()) << "input " << i;
+    if (!ok) continue;
+    ++accepted;
+    EXPECT_TRUE(scratch == *fresh) << "input " << i;
+    EXPECT_EQ(scratch.ingest_ns, fresh->ingest_ns) << "input " << i;
+    EXPECT_EQ(into_reader.pos(), fresh_reader.pos()) << "input " << i;
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
 TEST_P(FuzzSeedTest, TruncationSweepSubUpdateV2) {
   routing::FeedUpdate fu = stamped_sub_update();
   net::BufWriter w;

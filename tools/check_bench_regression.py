@@ -8,7 +8,7 @@ pipeline's design promises to hold:
 
     route_ns_per_subupdate       shard-worker routing cost
     drain_ns_per_event           store-drain cost
-    query_ns_per_event           finalized-store query cost
+    query_ns_per_event           live event-store query cost
     checkpoint_ns_per_event      per-update cost of one checkpoint cut
     recover_ms                   recover-on-start wall clock
     fabric_append_ns_per_event   loopback distributed-append cost
