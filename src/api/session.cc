@@ -160,9 +160,25 @@ class FabricPlane final : public LivePlane, public HealthReporter {
 
 AnalysisSession::AnalysisSession(SessionConfig config)
     : config_(std::move(config)),
-      study_(config_.mode == SessionConfig::Mode::kReopen
-                 ? nullptr
-                 : std::make_unique<core::Study>(config_.study)) {
+      study_(reopen() ? nullptr : std::make_shared<core::Study>(config_.study)) {
+  wire();
+}
+
+AnalysisSession::AnalysisSession(SessionConfig config,
+                                 std::shared_ptr<core::Study> study)
+    : config_(std::move(config)), study_(std::move(study)) {
+  if (!live()) {
+    throw std::logic_error(
+        "bgpbh: a borrowed Study is only valid in live modes (kLiveReplay / "
+        "kLiveFeed); kBatch runs and mutates its own Study, kReopen builds "
+        "none");
+  }
+  if (!study_) throw std::logic_error("bgpbh: borrowed Study is null");
+  config_.study = study_->config();
+  wire();
+}
+
+void AnalysisSession::wire() {
   assert((!reopen() || !config_.persist_dir.empty()) &&
          "kReopen requires persist_dir");
   // Health plane: one gauge refreshed on every telemetry snapshot.
@@ -339,8 +355,9 @@ AnalysisSession::AnalysisSession(SessionConfig config)
         pipeline_->init_from_table_dump(routing::Platform::kRis, *dump);
       }
     }
-    // Supervision plane.
-    if (config_.stall_deadline.count() > 0) {
+    // Supervision plane: one shard runs on the caller's thread, so
+    // there is no worker to watch.
+    if (config_.stall_deadline.count() > 0 && shards > 1) {
       std::vector<recovery::WatchedShard> watched;
       watched.reserve(shards);
       for (std::size_t i = 0; i < shards; ++i) {

@@ -90,7 +90,9 @@ struct SessionConfig {
   core::StudyConfig study;
 
   // Live data plane shape (ignored in kBatch); forwarded to
-  // stream::PipelineConfig.
+  // stream::PipelineConfig.  num_shards == 1 runs the engine inline on
+  // the pushing thread (no worker thread, no queue); more shards run
+  // one worker thread each.
   std::size_t num_shards = 4;
   std::size_t num_producers = 1;
   std::size_t queue_capacity = 4096;
@@ -162,7 +164,9 @@ struct SessionConfig {
   // Watchdog (supervision plane): a shard whose heartbeat freezes for
   // `stall_deadline` while its queue holds work degrades health() and
   // raises the recovery.watchdog.stalled_shards alarm gauge.  0
-  // disables the watchdog thread.
+  // disables the watchdog thread.  One-shard sessions never start it:
+  // their engine runs on the caller's thread, so nothing but the
+  // caller can stall.
   std::chrono::milliseconds stall_deadline = std::chrono::seconds(2);
   // Poison-update quarantine: push() and feed() reject announcements
   // whose AS path / community attribute exceeds these (counted per
@@ -204,6 +208,14 @@ struct SessionConfig {
 class AnalysisSession {
  public:
   explicit AnalysisSession(SessionConfig config = {});
+  // A live session on a borrowed, already built Study: several sessions
+  // (e.g. a shard server's slots) share one set of substrates instead
+  // of building one each.  config().study is taken from `study`, so the
+  // two cannot disagree; the Study must not be run() or mutated while
+  // sessions borrow it (propagation() hands out the shared engine).
+  // Throws std::logic_error in kBatch (run() mutates the Study) and
+  // kReopen (which builds no substrates), and for a null `study`.
+  AnalysisSession(SessionConfig config, std::shared_ptr<core::Study> study);
   ~AnalysisSession();
 
   AnalysisSession(const AnalysisSession&) = delete;
@@ -379,6 +391,9 @@ class AnalysisSession {
   // reading started_ (release-stored after the dispatcher is fully
   // wired) before touching dispatcher_.
   bool dispatching() const;
+  // The constructors' shared body: wires every component around
+  // config_ and study_.
+  void wire();
   void start_dispatcher();
   void deliver_batch_results();
   // Throws std::logic_error naming `what` when the mode is not live.
@@ -391,7 +406,8 @@ class AnalysisSession {
   // hook removal in ~StreamPipeline/~SinkDispatcher/~SpillWriter always
   // targets a live registry.
   bgpbh::telemetry::MetricsRegistry metrics_;
-  std::unique_ptr<core::Study> study_;
+  // Owned, or shared with other live sessions (borrowing constructor).
+  std::shared_ptr<core::Study> study_;
   LiveGrouper grouper_;
   std::vector<EventSink*> sinks_;
   std::vector<const HealthReporter*> health_reporters_;

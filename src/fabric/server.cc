@@ -40,6 +40,10 @@ ShardServer::ShardServer(ShardServerConfig config)
   if (config_.dir.empty()) {
     throw std::runtime_error("fabric: ShardServer requires a data directory");
   }
+  // Every slot session borrows these substrates, so they are built
+  // once, here, before the port is announced — never on a lane's first
+  // dial or inside a migration's pause.
+  study_ = std::make_shared<core::Study>(config_.study);
   auto listener = TcpListener::listen(config_.port);
   if (!listener) {
     throw std::runtime_error("fabric: could not bind port " +
@@ -129,9 +133,10 @@ void ShardServer::open_slot_session_locked(Slot& s, std::uint32_t id) {
   if (s.session) return;
   api::SessionConfig sc;
   sc.mode = api::SessionConfig::Mode::kLiveFeed;
-  sc.study = config_.study;
   // The slot IS the shard: the client already routed by
-  // stream::shard_for, so the local pipeline must not re-partition.
+  // stream::shard_for, so the local pipeline must not re-partition —
+  // and a one-shard pipeline runs the engine inline on this
+  // connection's thread.
   sc.num_shards = 1;
   sc.num_producers = config_.num_producers;
   sc.persist_dir = slot_dir(id);
@@ -145,16 +150,14 @@ void ShardServer::open_slot_session_locked(Slot& s, std::uint32_t id) {
   sc.max_as_path_hops = std::size_t{1} << 20;
   sc.max_communities = std::size_t{1} << 20;
   sc.poison_error_budget = UINT64_MAX;
-  // Supervision threads add nothing per-slot here: the watchdog would
-  // be one thread per slot, and checkpoints are cut on demand.
-  sc.stall_deadline = std::chrono::milliseconds(0);
+  // Checkpoints are cut on demand (CHECKPOINT frames).
   sc.checkpoint_every = 0;
   sc.trace = config_.trace;
-  s.session = std::make_unique<api::AnalysisSession>(sc);
+  s.session = std::make_unique<api::AnalysisSession>(sc, study_);
   telemetry::MetricsRegistry& reg = s.session->telemetry();
   reg.describe("fabric.server.append_ns",
-               "Server-side APPEND handling latency (ns: decode + engine "
-               "push, per batch)");
+               "Server-side APPEND handling latency (ns: decode + engine, "
+               "per batch)");
   reg.describe("fabric.server.query_ns",
                "Server-side QUERY handling latency (ns: drain + event "
                "serialization)");

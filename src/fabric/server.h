@@ -1,11 +1,15 @@
 // ShardServer: the server half of the multi-process shard fabric.
 //
-// One process hosts any number of slots; each slot is a full
-// api::AnalysisSession (kLiveFeed, num_shards = 1, persist_dir =
-// <dir>/slot-<id>, recover = true with suffix feeding) — so a slot
-// gets the ENTIRE single-machine stack: engine, event store, segment
-// log, checkpoints, telemetry.  The fabric adds nothing to the data
-// plane; it only moves slots behind sockets.
+// One process hosts any number of slots.  The study substrates
+// (graph, registry, dictionary, ...) are built once, at start-up,
+// before the port is announced; every slot borrows them.  Each slot is
+// an api::AnalysisSession on that shared core::Study (kLiveFeed,
+// num_shards = 1, persist_dir = <dir>/slot-<id>, recover = true with
+// suffix feeding): its own engine, event store, segment log,
+// checkpoints and telemetry.  A one-shard pipeline runs inline, so a
+// decoded sub-update goes through the slot's engine on the
+// connection's own thread — no worker thread, no queue.  The fabric
+// adds nothing to the data plane; it only moves slots behind sockets.
 //
 // Protocol handling (fabric/protocol.h):
 //   * HELLO        version negotiation; data lanes also learn the
@@ -26,10 +30,12 @@
 // Concurrency: one blocking thread per connection.  A slot has a
 // shared_mutex (APPEND/QUERY shared, control ops exclusive) plus one
 // mutex per producer lane, so a reconnecting lane can never race its
-// predecessor's last push.  Slot sessions are created lazily on first
-// touch and recover themselves from their directory — a SIGKILLed
-// server restarted on the same directory resumes where its last
-// drained checkpoint left every slot.
+// predecessor's last push.  Slot sessions are opened on first touch
+// (cheap: the substrates already exist) and recover themselves from
+// their directory — a SIGKILLed server restarted on the same directory
+// resumes where its last drained checkpoint left every slot.  Several
+// producer lanes of one slot serialize on its engine mutex; the shared
+// Study is only ever read.
 #pragma once
 
 #include <atomic>
@@ -55,10 +61,10 @@ struct ShardServerConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; read back via port()
   // Root directory: slot <id> persists under <dir>/slot-<id>.
   std::string dir;
-  // Substrates + window for every slot session.  table_dump_episodes
-  // is forced to 0 (each slot session would fold the dump once,
-  // duplicating its opens across slots; clients replicate the
-  // restriction).
+  // Substrates + window, built once by the constructor and shared by
+  // every slot session.  table_dump_episodes is forced to 0 (each slot
+  // session would fold the dump once, duplicating its opens across
+  // slots; clients replicate the restriction).
   core::StudyConfig study;
   std::size_t num_producers = 1;
   telemetry::MetricsRegistry* metrics = nullptr;  // optional, borrowed
@@ -70,8 +76,8 @@ struct ShardServerConfig {
 
 class ShardServer {
  public:
-  // Binds + starts the accept loop; throws std::runtime_error when the
-  // port cannot be bound.
+  // Builds the shared substrates, then binds + starts the accept loop;
+  // throws std::runtime_error when the port cannot be bound.
   explicit ShardServer(ShardServerConfig config);
   ~ShardServer();
 
@@ -139,6 +145,8 @@ class ShardServer {
   static bool send_error(TcpConn& conn, const std::string& message);
 
   ShardServerConfig config_;
+  // The substrates every slot session borrows.
+  std::shared_ptr<core::Study> study_;
   TcpListener listener_;
   std::thread accept_thread_;
   mutable std::mutex slots_mu_;

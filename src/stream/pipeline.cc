@@ -6,8 +6,10 @@ StreamPipeline::Producer::Producer(StreamPipeline& owner, std::size_t index,
                                    std::size_t num_shards, BlockPool& blocks,
                                    std::size_t batch_size)
     : owner_(&owner),
-      router_(num_shards, blocks, static_cast<std::uint32_t>(index)),
+      index_(static_cast<std::uint32_t>(index)),
+      router_(num_shards, blocks, index_),
       batch_size_(batch_size), pending_(num_shards) {
+  if (owner.workers_.runs_inline()) return;  // nothing is ever staged
   for (auto& buf : pending_) buf.reserve(batch_size);
 }
 
@@ -19,6 +21,7 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
   // unconditional start() would put an atomic RMW on every push,
   // ping-ponging the flag's cache line across producer threads.
   if (!p.started_.load(std::memory_order_acquire)) p.start();
+  if (p.workers_.runs_inline()) return push_inline(update);
   router_.route(update, [&](std::size_t shard, SubUpdateRef ref) {
     // Recovery replay: drop refs the checkpoint already covers.  One
     // branch on an empty vector when not replaying.
@@ -31,6 +34,31 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
     buf.push_back(ref);
     if (buf.size() >= batch_size_) submit_shard(shard);
   });
+  return true;
+}
+
+bool StreamPipeline::Producer::push_inline(const routing::FeedUpdate& update) {
+  WorkerPool& pool = owner_->workers_;
+  std::lock_guard<std::mutex> lock(pool.inline_mutex());
+  // finish() won a race with this push: accept nothing after its drain.
+  if (pool.closed()) return false;
+  updates_inline_.fetch_add(1, std::memory_order_relaxed);
+  // The engine reads the caller's update in place: no block, no copy.
+  core::UpdateView view;
+  std::uint64_t stamp = 0;
+  split_update(
+      update, 1, [&](std::uint64_t ingest_ns, std::size_t) { stamp = ingest_ns; },
+      [&](std::size_t, SubKind kind, std::uint32_t index) {
+        // Recovery replay: drop sub-updates the checkpoint covers.
+        if (!skip_.empty() && skip_.front() > 0) {
+          --skip_.front();
+          return;
+        }
+        view_sub_update(update, kind, index, view);
+        view.ingest_ns = stamp;
+        pool.process_inline(index_, view);
+        refs_enqueued_.fetch_add(1, std::memory_order_relaxed);
+      });
   return true;
 }
 

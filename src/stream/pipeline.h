@@ -32,6 +32,24 @@
 // deployments (collector sessions are platform-disjoint) and for any
 // peer-key-hash partition.
 //
+// One shard (num_shards == 1) runs inline: there is nobody to hand a
+// sub-update to, so the pipeline starts no worker thread and uses no
+// block pool or queue.
+//
+//   Producer 0 ───┐  split_update under   ┌───────────────────┐
+//                 ├─ the engine mutex ───>│  InferenceEngine  │
+//   Producer P-1 ─┘  (UpdateView of the   │  (the one shard)  │
+//                     caller's update)    └───────────────────┘
+//                                               │ drain_closed() every
+//                                               v drain_batch
+//                                         EventStore lane 0
+//
+// push() runs the engine on the calling thread over a core::UpdateView
+// of the caller's own update; producers serialize on one engine mutex,
+// and capture() takes that mutex instead of a worker rendezvous.
+// Watermarks, replay skips, the processed/enqueued totals behind
+// drain checks and e2e.detect_latency_ns work as they do threaded.
+//
 // Equivalence contract: after finish(), store().events() (canonical
 // order) is identical to what one sequential InferenceEngine
 // produces from the same update stream, for any shard count, batch
@@ -95,11 +113,16 @@ class StreamPipeline {
     // now.  Bounds the detection latency of a slow feed.
     void flush();
 
-    // Original updates accepted via push() on this handle.
-    std::uint64_t updates_pushed() const { return router_.updates_routed(); }
+    // Original updates accepted via push() on this handle (exactly one
+    // of the two counters moves: threaded or inline).
+    std::uint64_t updates_pushed() const {
+      return router_.updates_routed() +
+             updates_inline_.load(std::memory_order_relaxed);
+    }
 
     // Sub-update refs this handle actually enqueued onto shard queues
-    // (accepted by submit_batch; replay-skipped refs excluded).
+    // (accepted by submit_batch; replay-skipped refs excluded), or ran
+    // through the engine itself when inline.
     // Together with StreamPipeline::total_processed() this gives a
     // quiescence check: equal totals after flush() mean the queues are
     // empty and the engines have consumed everything pushed so far.
@@ -122,11 +145,16 @@ class StreamPipeline {
     Producer(StreamPipeline& owner, std::size_t index, std::size_t num_shards,
              BlockPool& blocks, std::size_t batch_size);
 
+    // One shard: split the update and run the engine over views of
+    // the caller's update, under the pool's engine mutex.
+    bool push_inline(const routing::FeedUpdate& update);
+
     // Hand one shard's staged batch to the workers, releasing any refs
     // a mid-shutdown rejection left with us.
     void submit_shard(std::size_t shard);
 
     StreamPipeline* owner_;
+    std::uint32_t index_;
     ShardRouter router_;
     std::size_t batch_size_;
     std::vector<std::vector<SubUpdateRef>> pending_;
@@ -135,6 +163,7 @@ class StreamPipeline {
     std::vector<std::uint64_t> skip_;
     // Relaxed: written by the producer thread, sampled by drain checks.
     std::atomic<std::uint64_t> refs_enqueued_{0};
+    std::atomic<std::uint64_t> updates_inline_{0};
   };
 
   StreamPipeline(const dictionary::BlackholeDictionary& dictionary,
@@ -201,7 +230,8 @@ class StreamPipeline {
   std::size_t blocks_allocated() const { return blocks_.blocks_allocated(); }
 
   // ---- checkpoint/recovery surface (src/recovery/) ----------------------
-  // Rendezvous capture of every shard's open state + watermarks; see
+  // Capture of every shard's open state + watermarks at a cut: a
+  // worker rendezvous, or inline the engine mutex; see
   // WorkerPool::capture for the protocol and its guarantees.
   bool capture(const std::function<void()>& while_quiesced,
                std::vector<ShardCapture>& out) {

@@ -19,6 +19,7 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
       drain_batch_(drain_batch == 0 ? 1 : drain_batch),
       batch_size_(batch_size == 0 ? 1 : batch_size),
       serialize_producers_(serialize_producers),
+      inline_(num_shards <= 1),
       blocks_(blocks),
       store_(store),
       trace_(&metrics.trace()) {
@@ -48,23 +49,26 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
     auto shard = std::make_unique<Shard>();
     shard->engine = std::make_unique<core::InferenceEngine>(
         dictionary, compiled_, registry, engine_config);
-    shard->queue = std::make_unique<SpscQueue<SubUpdateRef>>(queue_capacity);
     shard->index = i;
     shard->watermarks.assign(num_producers_, 0);
     shard->batch_hist = &metrics.shard_histogram("stream.worker.batch_ns", i);
     shard->drain_hist = &metrics.shard_histogram("stream.worker.drain_ns", i);
     shard->detect_hist =
         &metrics.shard_histogram("e2e.detect_latency_ns", i);
-    shard->queue->bind_instruments(SpscQueue<SubUpdateRef>::Instruments{
-        .producer_stalls =
-            &metrics.shard_counter("stream.queue.producer_stalls", i),
-        .producer_wakes =
-            &metrics.shard_counter("stream.queue.producer_wakes", i),
-        .consumer_stalls =
-            &metrics.shard_counter("stream.queue.consumer_stalls", i),
-        .consumer_wakes =
-            &metrics.shard_counter("stream.queue.consumer_wakes", i),
-    });
+    if (!inline_) {
+      shard->queue =
+          std::make_unique<SpscQueue<SubUpdateRef>>(queue_capacity);
+      shard->queue->bind_instruments(SpscQueue<SubUpdateRef>::Instruments{
+          .producer_stalls =
+              &metrics.shard_counter("stream.queue.producer_stalls", i),
+          .producer_wakes =
+              &metrics.shard_counter("stream.queue.producer_wakes", i),
+          .consumer_stalls =
+              &metrics.shard_counter("stream.queue.consumer_stalls", i),
+          .consumer_wakes =
+              &metrics.shard_counter("stream.queue.consumer_wakes", i),
+      });
+    }
     shards_.push_back(std::move(shard));
   }
   capture_slots_.resize(shards_.size());
@@ -86,6 +90,7 @@ void WorkerPool::start() {
   // producer-triggered starts race-free: exactly one spawns.
   if (joined_.load(std::memory_order_acquire)) return;
   if (started_.exchange(true, std::memory_order_acq_rel)) return;
+  if (inline_) return;  // the pushing threads run the engine
   for (auto& shard : shards_) {
     shard->thread = std::thread([this, &shard = *shard] { worker_loop(shard); });
   }
@@ -99,6 +104,22 @@ std::size_t WorkerPool::submit_batch(std::size_t shard,
   // the lock, but the worker never takes it, so drains still progress.
   std::lock_guard<std::mutex> lock(s.producer_mu);
   return s.queue->push_batch(refs);
+}
+
+void WorkerPool::process_inline(std::uint32_t producer,
+                                const core::UpdateView& view) {
+  Shard& shard = *shards_.front();
+  ++shard.watermarks[producer];
+  shard.engine->process(view);
+  shard.open_gauge.store(shard.engine->open_event_count(),
+                         std::memory_order_relaxed);
+  shard.processed.fetch_add(1, std::memory_order_relaxed);
+  if (++inline_since_drain_ >= drain_batch_) {
+    telemetry::ScopedSpan drain_span(shard.drain_hist, trace_, "worker.drain",
+                                     shard.index);
+    drain_into_store(shard);
+    inline_since_drain_ = 0;
+  }
 }
 
 void WorkerPool::worker_loop(Shard& shard) {
@@ -132,17 +153,7 @@ void WorkerPool::worker_loop(Shard& shard) {
     for (const SubUpdateRef& ref : batch) {
       UpdateBlock* block = ref.block;
       ++shard.watermarks[block->producer];
-      const routing::FeedUpdate& fu = block->update;
-      const bool withdrawal = ref.kind == SubKind::kWithdraw;
-      view.platform = fu.platform;
-      view.time = fu.update.time;
-      view.peer = bgp::PeerKey{fu.update.peer_ip, fu.update.peer_asn};
-      view.is_withdrawal = withdrawal;
-      view.prefix = withdrawal ? &fu.update.body.withdrawn[ref.prefix_index]
-                               : &fu.update.body.announced[ref.prefix_index];
-      view.as_path = &fu.update.body.as_path;
-      view.communities = &fu.update.body.communities;
-      view.ingest_ns = fu.ingest_ns;
+      view_sub_update(block->update, ref.kind, ref.prefix_index, view);
       shard.engine->process(view);
       if (BlockPool::unref(block)) to_recycle.push_back(block);
     }
@@ -204,9 +215,15 @@ bool WorkerPool::capture(const std::function<void()>& while_quiesced,
   std::lock_guard<std::mutex> serial(capture_serial_mu_);
   if (joined_.load(std::memory_order_acquire)) return false;
   out.clear();
-  if (!started_.load(std::memory_order_acquire)) {
-    // No workers yet (bootstrap checkpoint): engines and watermarks
-    // are directly readable, and nothing is in flight by definition.
+  const bool started = started_.load(std::memory_order_acquire);
+  if (!started || inline_) {
+    // No workers (a bootstrap checkpoint, or inline mode): with the
+    // engine mutex held no update is in flight, so the engines and
+    // watermarks are directly readable.  Inline, this thread is the
+    // one draining the closed events downstream of the cut first.
+    std::lock_guard<std::mutex> engine(inline_mu_);
+    if (joined_.load(std::memory_order_acquire)) return false;
+    if (started) drain_into_store(*shards_.front());
     out.resize(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       out[i].open_state = shards_[i]->engine->export_open_state();
@@ -244,6 +261,13 @@ void WorkerPool::seed_watermarks(std::size_t shard,
 
 void WorkerPool::close_and_join() {
   if (joined_.exchange(true)) return;
+  if (inline_) {
+    // Wait out an in-flight update, then seal what it closed, as a
+    // worker does on exit.
+    std::lock_guard<std::mutex> lock(inline_mu_);
+    drain_into_store(*shards_.front());
+    return;
+  }
   {
     // Abort any in-progress capture so parked workers (and a
     // coordinator waiting for arrivals) wake before we join.
@@ -289,11 +313,13 @@ std::uint64_t WorkerPool::processed_count() const {
 }
 
 std::size_t WorkerPool::queue_depth(std::size_t shard) const {
-  return shards_.at(shard)->queue->size();
+  const auto& queue = shards_.at(shard)->queue;
+  return queue ? queue->size() : 0;
 }
 
 std::size_t WorkerPool::queue_peak(std::size_t shard) const {
-  return shards_.at(shard)->queue->peak_size();
+  const auto& queue = shards_.at(shard)->queue;
+  return queue ? queue->peak_size() : 0;
 }
 
 std::size_t WorkerPool::open_events(std::size_t shard) const {

@@ -20,6 +20,13 @@
 // the shard's own EventStore lane — no shared store mutex on the hot
 // path — and publish a per-shard open-event gauge after every batch
 // for live snapshots.
+//
+// Inline mode: with one shard there is nothing to hand off to, so the
+// pool starts no thread and builds no queue.  The submitting threads
+// run the engine themselves through process_inline(), serialized on
+// one engine mutex (inline_mutex()) that capture() and close_and_join()
+// take too; the drain cadence, watermarks, processed counts and
+// e2e.detect_latency_ns are kept exactly as a worker keeps them.
 #pragma once
 
 #include <atomic>
@@ -52,6 +59,22 @@ struct ShardCapture {
   std::vector<core::OpenEventState> open_state;
   std::vector<std::uint64_t> watermarks;
 };
+
+// Points `view` at sub-update (kind, prefix index) of `fu`, as
+// split_update emits it: the engine reads the update in place.
+inline void view_sub_update(const routing::FeedUpdate& fu, SubKind kind,
+                            std::uint32_t index, core::UpdateView& view) {
+  const bgp::UpdateBody& body = fu.update.body;
+  view.platform = fu.platform;
+  view.time = fu.update.time;
+  view.peer = bgp::PeerKey{fu.update.peer_ip, fu.update.peer_asn};
+  view.is_withdrawal = kind == SubKind::kWithdraw;
+  view.prefix = view.is_withdrawal ? &body.withdrawn[index]
+                                   : &body.announced[index];
+  view.as_path = &body.as_path;
+  view.communities = &body.communities;
+  view.ingest_ns = fu.ingest_ns;
+}
 
 class WorkerPool {
  public:
@@ -87,8 +110,22 @@ class WorkerPool {
 
   // Blocking batch enqueue.  Returns the number accepted —
   // refs.size(), or fewer iff the pool was shut down mid-batch; block
-  // references of rejected refs stay with the caller.
+  // references of rejected refs stay with the caller.  Threaded mode
+  // only.
   std::size_t submit_batch(std::size_t shard, std::span<SubUpdateRef> refs);
+
+  // ---- inline mode (num_shards == 1) ----------------------------------
+  bool runs_inline() const { return inline_; }
+  // Held by the caller around process_inline() calls; capture() and
+  // close_and_join() take it to find the engine between updates.
+  std::mutex& inline_mutex() { return inline_mu_; }
+  // True once close_and_join() began: refuse the update (check under
+  // inline_mutex(), so no update can land after the final drain).
+  bool closed() const { return joined_.load(std::memory_order_acquire); }
+  // Run one sub-update from `producer` through the shard's engine on
+  // the calling thread, which must hold inline_mutex().  Drains into
+  // the store lane every drain_batch sub-updates.
+  void process_inline(std::uint32_t producer, const core::UpdateView& view);
 
   // Close all queues, wait for every worker to drain and exit.
   void close_and_join();
@@ -119,7 +156,9 @@ class WorkerPool {
   // while its queue depth stays positive (recovery::Watchdog).
   std::uint64_t heartbeat(std::size_t shard) const;
 
-  // Checkpoint rendezvous (src/recovery/).  Quiesces every worker at a
+  // Checkpoint rendezvous (src/recovery/).  Inline mode needs none:
+  // under inline_mutex() it drains, exports and runs `while_quiesced`
+  // between two updates.  Threaded mode quiesces every worker at a
   // batch boundary: each worker force-drains its closed events into
   // the store (so every pre-cut chunk is downstream of the cut), dumps
   // its open engine state + watermarks into its capture slot, and
@@ -143,7 +182,7 @@ class WorkerPool {
  private:
   struct Shard {
     std::unique_ptr<core::InferenceEngine> engine;
-    std::unique_ptr<SpscQueue<SubUpdateRef>> queue;
+    std::unique_ptr<SpscQueue<SubUpdateRef>> queue;  // null inline
     // Taken per sealed batch when several producers feed this shard.
     std::mutex producer_mu;
     std::thread thread;
@@ -178,6 +217,11 @@ class WorkerPool {
   std::size_t drain_batch_;
   std::size_t batch_size_;
   bool serialize_producers_;
+  const bool inline_;
+  // Inline mode: serializes the pushing threads, capture and close on
+  // the one engine; inline_since_drain_ is guarded by it.
+  std::mutex inline_mu_;
+  std::size_t inline_since_drain_ = 0;
   BlockPool& blocks_;
   EventStore& store_;
   telemetry::TraceRing* trace_;

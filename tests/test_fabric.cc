@@ -44,6 +44,7 @@
 #include "core/study.h"
 #include "fabric/placement.h"
 #include "fabric/protocol.h"
+#include "fabric/server.h"
 #include "fabric/socket.h"
 #include "fabric/wire_log.h"
 #include "net/bytes.h"
@@ -468,6 +469,74 @@ TEST(FabricClientContract, LocalOnlySurfacesAreInertAndHealthNamesTheFabric) {
   const api::ComponentHealth* fabric = health.find("fabric");
   ASSERT_NE(fabric, nullptr);
   EXPECT_EQ(fabric->state, api::HealthState::kHealthy);
+}
+
+// The borrowing constructor (one Study shared by several sessions, as
+// a shard server's slots share it) is for live modes only.
+TEST(SharedStudyContract, BorrowingRefusesBatchAndReopen) {
+  auto study = std::make_shared<core::Study>(study_config());
+  api::SessionConfig batch;
+  batch.mode = api::SessionConfig::Mode::kBatch;
+  EXPECT_THROW(api::AnalysisSession(batch, study), std::logic_error);
+  api::SessionConfig reopen;
+  reopen.mode = api::SessionConfig::Mode::kReopen;
+  reopen.persist_dir = temp_dir("bgpbh_fabric_borrow_reopen");
+  EXPECT_THROW(api::AnalysisSession(reopen, study), std::logic_error);
+  api::SessionConfig live;
+  live.mode = api::SessionConfig::Mode::kLiveFeed;
+  EXPECT_THROW(api::AnalysisSession(live, nullptr), std::logic_error);
+  // A borrowing session's study config is the borrowed Study's.
+  live.study.seed = study_config().seed + 1;
+  api::AnalysisSession session(live, study);
+  EXPECT_EQ(&session.study(), study.get());
+  EXPECT_EQ(session.config().study.seed, study_config().seed);
+  EXPECT_EQ(session.config().study.window_end, study_config().window_end);
+}
+
+// One in-process server hosts all 4 slots of a 2-producer client that
+// pushes from 2 threads: 8 connection threads run their slots' engines
+// over the one Study the server built at start-up.
+TEST(SharedStudy, OneServerHostsEverySlotOnSharedSubstrates) {
+  const Baseline& base = baseline();
+  std::string dir = temp_dir("bgpbh_fabric_shared_study");
+  ShardServerConfig server_config;
+  server_config.dir = dir;
+  server_config.study = study_config();
+  server_config.num_producers = 2;
+  ShardServer server(server_config);
+
+  core::Study study(study_config());
+  core::InferenceEngine engine(study.dictionary(), study.registry(),
+                               study_config().engine);
+  for (const auto& u : base.updates) engine.process(u.platform, u.update);
+  engine.finish(study_config().window_end);
+  std::vector<PeerEvent> sequential = engine.events();
+  core::canonical_sort(sequential);
+
+  {
+    api::SessionConfig config;
+    config.mode = api::SessionConfig::Mode::kLiveFeed;
+    config.study = study_config();
+    config.num_shards = 4;
+    config.num_producers = 2;
+    config.fabric.endpoints = {FabricEndpoint{"127.0.0.1", server.port()}};
+    api::AnalysisSession session(config);
+    auto parts = partition(base.updates, 2);
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < 2; ++p) {
+      threads.emplace_back([&, p] {
+        for (const auto& u : parts[p]) session.push(u, p);
+        session.flush(p);
+      });
+    }
+    for (auto& t : threads) t.join();
+    session.close(study_config().window_end);
+    EXPECT_TRUE(session.events() == sequential)
+        << "slots on shared substrates diverged from the sequential engine";
+    EXPECT_EQ(server.slots_hosted(), 4u);
+  }
+  server.stop();
+  fs::remove_all(dir);
 }
 
 // ---- the headline grid ------------------------------------------------

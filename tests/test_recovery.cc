@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -599,6 +600,83 @@ TEST(RecoveryRoundTrip, RecoverOnEmptyDirectoryIsAFreshStart) {
   session.feed(source);
   session.close(study_config().window_end);
   EXPECT_TRUE(session.events() == baseline().events);
+  fs::remove_all(dir);
+}
+
+// ---- one-shard inline plane under concurrency ---------------------------
+
+// A one-shard session runs its engine on the pushing threads.  Three
+// producers, one per platform group, push concurrently while a fourth
+// thread cuts checkpoints in a loop: every cut takes the engine mutex
+// between two updates.  The events must equal the sequential engine's,
+// and a recover session on the directory, re-fed the same partitions,
+// must land on the same set.
+TEST(InlineRecovery, ConcurrentPushesAndCheckpointsMatchSequential) {
+  const Baseline& base = baseline();
+  constexpr std::size_t kProducers = 3;
+  std::string dir = temp_dir("bgpbh_rec_inline");
+  auto make_config = [&] {
+    api::SessionConfig config;
+    config.mode = api::SessionConfig::Mode::kLiveFeed;
+    config.study = study_config();
+    config.num_shards = 1;
+    config.num_producers = kProducers;
+    config.drain_batch = 32;
+    config.persist_dir = dir;
+    config.recover = true;
+    return config;
+  };
+  // Collector sessions are platform-disjoint, so a platform partition
+  // keeps every (peer, prefix) key on one producer.
+  std::vector<std::vector<FeedUpdate>> parts(kProducers);
+  for (const auto& u : base.updates) {
+    parts[static_cast<std::size_t>(u.platform) % kProducers].push_back(u);
+  }
+  auto push_all = [&](api::AnalysisSession& session) {
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] {
+        for (const auto& u : parts[p]) session.push(u, p);
+        session.flush(p);
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+
+  std::vector<PeerEvent> sequential;
+  {
+    api::AnalysisSession session(make_config());
+    core::InferenceEngine engine(session.dictionary(), session.registry(),
+                                 study_config().engine);
+    for (const auto& u : base.updates) engine.process(u.platform, u.update);
+    engine.finish(study_config().window_end);
+    sequential = engine.events();
+    core::canonical_sort(sequential);
+
+    std::atomic<bool> pushing{true};
+    std::uint64_t cuts = 0;
+    std::thread cutter([&] {
+      while (pushing.load(std::memory_order_acquire)) {
+        if (session.checkpoint_now()) ++cuts;
+      }
+    });
+    push_all(session);
+    pushing.store(false, std::memory_order_release);
+    cutter.join();
+    EXPECT_GE(cuts, 1u);
+    session.close(study_config().window_end);
+    EXPECT_TRUE(session.events() == sequential)
+        << "inline plane diverged from the sequential engine";
+    EXPECT_EQ(session.updates_pushed(), base.updates.size());
+  }
+  {
+    api::AnalysisSession session(make_config());
+    EXPECT_TRUE(session.recovered());
+    push_all(session);
+    session.close(study_config().window_end);
+    EXPECT_TRUE(session.events() == sequential)
+        << "recovered inline session diverged from the sequential engine";
+  }
   fs::remove_all(dir);
 }
 

@@ -782,6 +782,75 @@ TEST(CaptureRendezvous, BackToBackCapturesNeverLoseTheRelease) {
       << "1: event set diverged; 2: a capture failed";
 }
 
+// The same back-to-back captures against the threaded rendezvous: a
+// 1-shard pipeline runs its engine inline (capture takes the engine
+// mutex, no worker to park), so two shards keep the worker rendezvous
+// and its lost-wakeup guard covered.
+TEST(CaptureRendezvous, BackToBackCapturesNeverLoseTheReleaseTwoShards) {
+  auto& f = fixture();
+  const auto seq = sequential_events(nullptr);
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    PipelineConfig config;
+    config.num_shards = 2;
+    config.queue_capacity = 64;
+    StreamPipeline pipeline(f.study->dictionary(), f.study->registry(),
+                            config);
+    if (auto dump = f.study->initial_table_dump()) {
+      pipeline.init_from_table_dump(Platform::kRis, *dump);
+    }
+    pipeline.start();
+    std::atomic<bool> pushing{true};
+    std::atomic<int> failed_captures{0};
+    constexpr int kMinCaptures = 50;
+    auto cutter = [&] {
+      std::vector<ShardCapture> out;
+      for (int i = 0; i < kMinCaptures || pushing.load(); ++i) {
+        if (!pipeline.capture({}, out)) failed_captures.fetch_add(1);
+      }
+    };
+    std::thread a(cutter), b(cutter);
+    for (const auto& u : f.updates) pipeline.push(u);
+    pipeline.flush();
+    pushing.store(false, std::memory_order_release);
+    a.join();
+    b.join();
+    pipeline.finish(f.config.window_end);
+    if (failed_captures.load() != 0) _exit(2);
+    _exit(pipeline.store().events() == seq ? 0 : 1);
+  }
+  std::optional<int> status = tests::wait_child(pid, std::chrono::seconds(120));
+  ASSERT_TRUE(status.has_value()) << "capture rendezvous hung";
+  ASSERT_TRUE(WIFEXITED(*status)) << "child died, status " << *status;
+  EXPECT_EQ(WEXITSTATUS(*status), 0)
+      << "1: event set diverged; 2: a capture failed";
+}
+
+// ---- one-shard inline pipeline ----------------------------------------
+
+// One shard runs the engine on the pushing thread (the equivalence
+// grid above covers its events): push() returns with its sub-updates
+// processed, and no queue or block pool is ever used.
+TEST(InlinePipeline, PushRunsTheEngineWithoutQueueOrBlocks) {
+  auto& f = fixture();
+  PipelineConfig config;
+  config.num_shards = 1;
+  StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
+  std::uint64_t subs = 0;
+  for (const auto& u : f.updates) {
+    pipeline.push(u);
+    subs += u.update.body.withdrawn.size() + u.update.body.announced.size();
+  }
+  // Nothing staged, nothing queued: every pushed sub-update has run.
+  EXPECT_EQ(pipeline.total_processed(), subs);
+  EXPECT_EQ(pipeline.total_refs_enqueued(), subs);
+  EXPECT_EQ(pipeline.shard_queue_depth(0), 0u);
+  pipeline.finish(f.config.window_end);
+  EXPECT_EQ(pipeline.blocks_allocated(), 0u);
+  EXPECT_FALSE(pipeline.push(f.updates.front()));
+}
+
 // ---- FleetSource ------------------------------------------------------
 
 TEST(FleetSource, StreamsEpisodeObservationsThroughPipeline) {

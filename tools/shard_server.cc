@@ -5,9 +5,12 @@
 //                [--intensity X] [--seed N] [--trace]
 //                [--trace-threshold-ns N] [--trace-capacity N]
 //
-// Binds the port (0 = ephemeral), prints "PORT <n>" on stdout (the
-// line a spawning client parses), and serves fabric frames until a
-// SHUTDOWN frame arrives.  Slot state persists under DATA_DIR —
+// Builds the study substrates every slot shares, then binds the port
+// (0 = ephemeral), prints "PORT <n>" on stdout (the line a spawning
+// client parses; once it appears the server is ready to serve), and
+// serves fabric frames until a SHUTDOWN frame arrives.  Each slot runs
+// its one-shard engine inline on its connection's thread.  Slot state
+// persists under DATA_DIR —
 // rerunning on the same directory recovers every slot from its last
 // drained checkpoint, which is how the fabric survives a SIGKILL'd
 // server.
@@ -37,7 +40,11 @@ int usage(const char* argv0) {
                "          [--window-start YYYY-MM-DD] [--window-end "
                "YYYY-MM-DD] [--intensity X] [--seed N]\n"
                "          [--trace] [--trace-threshold-ns N] "
-               "[--trace-capacity N]\n",
+               "[--trace-capacity N]\n"
+               "Builds the study substrates every slot shares, then prints "
+               "\"PORT <n>\" and serves;\n"
+               "each slot runs its one-shard engine on its connection's "
+               "thread.\n",
                argv0);
   return 2;
 }
@@ -92,7 +99,7 @@ int main(int argc, char** argv) {
   try {
     bgpbh::fabric::ShardServer server(std::move(config));
     // The spawner blocks on this line to learn the bound (possibly
-    // ephemeral) port.
+    // ephemeral) port; it is printed after the substrates are built.
     std::printf("PORT %u\n", static_cast<unsigned>(server.port()));
     std::fflush(stdout);
     server.wait();
