@@ -196,9 +196,10 @@ void AnalysisSession::wire() {
   const std::size_t shards = config_.num_shards == 0 ? 1 : config_.num_shards;
   const std::size_t producers =
       config_.num_producers == 0 ? 1 : config_.num_producers;
-  // Poison quarantine, in front of either live plane: a fabric client
-  // runs the same check client-side (shard servers admit everything),
-  // so the per-lane sub-update index spaces match the in-process ones.
+  // Poison quarantine, in front of either live plane.  A shard server's
+  // slot sessions run it too, at the defaults: a sub-update carries its
+  // update's own path and communities, so they admit whatever a
+  // default-configured client admitted, and refuse a client set above.
   if (live()) {
     recovery::QuarantineConfig qc;
     qc.max_as_path_hops = config_.max_as_path_hops;

@@ -1,5 +1,6 @@
 #include "bgp/update.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bgpbh::bgp {
@@ -94,13 +95,17 @@ void encode_update_body(const UpdateBody& body, net::BufWriter& w) {
     w.u8(1);
     w.u8(static_cast<std::uint8_t>(body.origin));
 
-    // AS_PATH: one AS_SEQUENCE segment, 4-byte ASNs (AS4 capable peers).
-    const std::size_t hops = body.as_path.length();
-    attr_header(w, kFlagTransitive, kAttrAsPath, hops == 0 ? 0 : 2 + 4 * hops);
-    if (hops != 0) {
+    // AS_PATH: AS_SEQUENCE segments of at most 255 hops each (the
+    // segment count is one octet, RFC 4271), 4-byte ASNs (AS4 peers).
+    const std::vector<Asn>& hops = body.as_path.hops();
+    const std::size_t segments = (hops.size() + 254) / 255;
+    attr_header(w, kFlagTransitive, kAttrAsPath,
+                2 * segments + 4 * hops.size());
+    for (std::size_t first = 0; first < hops.size(); first += 255) {
+      const std::size_t n = std::min<std::size_t>(255, hops.size() - first);
       w.u8(2);  // AS_SEQUENCE
-      w.u8(static_cast<std::uint8_t>(hops));
-      for (Asn a : body.as_path.hops()) w.u32(a);
+      w.u8(static_cast<std::uint8_t>(n));
+      for (std::size_t i = first; i < first + n; ++i) w.u32(hops[i]);
     }
 
     if (body.next_hop && body.next_hop->is_v4()) {

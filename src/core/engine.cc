@@ -67,22 +67,15 @@ bool BgpCleaner::is_bogus(const net::Prefix& prefix) const {
 InferenceEngine::InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
                                  const topology::Registry& registry,
                                  EngineConfig config)
-    : dictionary_(dictionary),
-      owned_compiled_(config.use_compiled_fastpath
-                          ? dictionary::CompiledDictionary(dictionary)
-                          : dictionary::CompiledDictionary()),
+    : owned_compiled_(dictionary),
       compiled_(&owned_compiled_),
       registry_(registry),
       config_(config) {}
 
-InferenceEngine::InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
-                                 const dictionary::CompiledDictionary& compiled,
+InferenceEngine::InferenceEngine(const dictionary::CompiledDictionary& compiled,
                                  const topology::Registry& registry,
                                  EngineConfig config)
-    : dictionary_(dictionary),
-      compiled_(&compiled),
-      registry_(registry),
-      config_(config) {}
+    : compiled_(&compiled), registry_(registry), config_(config) {}
 
 bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
                              const bgp::CommunitySet& communities) {
@@ -90,11 +83,11 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
   // community — a handful of bit-tests, no path work, no allocation,
   // and (by construction of the bitset) no stats changes the full scan
   // wouldn't also have made.
-  if (config_.use_compiled_fastpath && !compiled_->prefilter(communities)) {
+  if (!compiled_->prefilter(communities)) {
     detect_scratch_.clear();
     return false;
   }
-  std::vector<Detection>& out = detect_scratch_;
+  std::vector<OpenDetection>& out = detect_scratch_;
   out.clear();
 
   auto add_provider = [&](ProviderRef provider, Asn user, DetectionKind kind,
@@ -102,12 +95,8 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
     for (const auto& d : out) {
       if (d.provider == provider) return;  // already detected
     }
-    Detection d;
-    d.provider = provider;
-    d.user = user;
-    d.kind = kind;
-    d.as_distance = distance;
-    out.push_back(d);
+    out.push_back(OpenDetection{.provider = provider, .user = user,
+                                .kind = kind, .as_distance = distance});
   };
 
   // With exactly one classic community and no large ones, a passed
@@ -117,21 +106,13 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
       communities.classic().size() != 1 || !communities.large().empty();
 
   for (auto community : communities.classic()) {
-    dictionary::EntryView entry;
-    if (config_.use_compiled_fastpath) {
-      if (probe_each && !compiled_->maybe_blackhole(community)) continue;
-      const dictionary::EntryView* e = compiled_->lookup(community);
-      if (!e) continue;
-      entry = *e;
-    } else {
-      const dictionary::DictEntry* e = dictionary_.lookup(community);
-      if (!e) continue;
-      entry = dictionary::EntryView{e->provider_asns, e->ixp_ids};
-    }
+    if (probe_each && !compiled_->maybe_blackhole(community)) continue;
+    const dictionary::EntryView* entry = compiled_->lookup(community);
+    if (!entry) continue;
 
     // ---- IXP communities (65535:666 et al.) --------------------------
-    bool any_ixp_evidence = entry.ixp_ids.empty();
-    for (std::uint32_t ixp_id : entry.ixp_ids) {
+    bool any_ixp_evidence = entry->ixp_ids.empty();
+    for (std::uint32_t ixp_id : entry->ixp_ids) {
       auto rec = registry_.peeringdb_ixp(ixp_id);
       if (!rec) continue;
       ProviderRef provider{.is_ixp = true,
@@ -164,12 +145,12 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
     if (!any_ixp_evidence) ++stats_.ixp_rejected;
 
     // ---- ISP communities ---------------------------------------------
-    if (entry.provider_asns.empty()) continue;
-    if (entry.ambiguous() && config_.require_path_evidence_for_ambiguous) {
+    if (entry->provider_asns.empty()) continue;
+    if (entry->ambiguous() && config_.require_path_evidence_for_ambiguous) {
       // e.g. 0:666 shared by multiple providers: require a candidate on
       // the path; otherwise ignore the update (§4.2).
       bool found = false;
-      for (Asn candidate : entry.provider_asns) {
+      for (Asn candidate : entry->provider_asns) {
         if (auto idx = path.index_of(candidate)) {
           Asn user = 0;
           if (auto u = path.hop_before(candidate)) user = *u;
@@ -182,7 +163,7 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
       if (!found) ++stats_.ambiguous_rejected;
       continue;
     }
-    for (Asn candidate : entry.provider_asns) {
+    for (Asn candidate : entry->provider_asns) {
       ProviderRef provider{.is_ixp = false, .asn = candidate, .ixp_id = 0};
       if (auto idx = path.index_of(candidate)) {
         Asn user = 0;
@@ -200,15 +181,8 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
 
   // ---- RFC 8092 large communities ------------------------------------
   for (auto large : communities.large()) {
-    std::optional<Asn> provider_asn;
-    if (config_.use_compiled_fastpath) {
-      if (compiled_->maybe_blackhole(large)) {
-        provider_asn = compiled_->lookup_large(large);
-      }
-    } else {
-      provider_asn = dictionary_.lookup_large(large);
-    }
-    if (provider_asn) {
+    if (!compiled_->maybe_blackhole(large)) continue;
+    if (std::optional<Asn> provider_asn = compiled_->lookup_large(large)) {
       ProviderRef provider{.is_ixp = false, .asn = *provider_asn, .ixp_id = 0};
       if (auto idx = path.index_of(*provider_asn)) {
         Asn user = 0;
@@ -227,7 +201,7 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
 void InferenceEngine::open_event(Platform platform, const bgp::PeerKey& peer,
                                  const net::Prefix& prefix, util::SimTime time,
                                  bool from_dump,
-                                 const std::vector<Detection>& detections,
+                                 const std::vector<OpenDetection>& detections,
                                  const bgp::CommunitySet& communities) {
   StateKey key{peer, prefix};
   auto it = active_.find(key);
@@ -236,7 +210,7 @@ void InferenceEngine::open_event(Platform platform, const bgp::PeerKey& peer,
     for (const auto& d : detections) {
       bool known = std::any_of(it->second.detections.begin(),
                                it->second.detections.end(),
-                               [&](const Detection& e) {
+                               [&](const OpenDetection& e) {
                                  return e.provider == d.provider;
                                });
       if (!known) it->second.detections.push_back(d);
@@ -394,15 +368,7 @@ std::vector<OpenEventState> InferenceEngine::export_open_state() const {
     open.start = state.start;
     open.platform = state.platform;
     open.from_table_dump = state.from_table_dump;
-    open.detections.reserve(state.detections.size());
-    for (const auto& d : state.detections) {
-      open.detections.push_back(OpenDetection{
-          .provider = d.provider,
-          .user = d.user,
-          .kind = d.kind,
-          .as_distance = d.as_distance,
-      });
-    }
+    open.detections = state.detections;
     open.communities = state.communities;
     out.push_back(std::move(open));
   }
@@ -419,15 +385,7 @@ void InferenceEngine::import_open_state(std::vector<OpenEventState> states) {
     state.start = open.start;
     state.platform = open.platform;
     state.from_table_dump = open.from_table_dump;
-    state.detections.reserve(open.detections.size());
-    for (const auto& d : open.detections) {
-      state.detections.push_back(Detection{
-          .provider = d.provider,
-          .user = d.user,
-          .kind = d.kind,
-          .as_distance = d.as_distance,
-      });
-    }
+    state.detections = std::move(open.detections);
     state.communities = std::move(open.communities);
     active_.insert_or_assign(StateKey{open.peer, open.prefix},
                              std::move(state));

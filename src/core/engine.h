@@ -4,8 +4,8 @@
 // Pipeline per observed update:
 //   1. Data cleaning: drop bogon prefixes and prefixes less specific
 //      than /8 (§3).
-//   2. Scan the communities attribute against the documented blackhole
-//      dictionary.
+//   2. Scan the communities attribute against the compiled blackhole
+//      dictionary (bitset prefilter + flat tables, dictionary/compiled.h).
 //   3. Resolve the blackholing provider:
 //        * unambiguous ISP community -> provider even if absent from
 //          the AS path (community bundling, Fig 3);
@@ -56,11 +56,6 @@ struct EngineConfig {
   bool detect_bundled = true;
   // Ablation knob: accept ambiguous communities without path evidence.
   bool require_path_evidence_for_ambiguous = true;
-  // Query the compiled dictionary (bitset prefilter + flat arrays)
-  // instead of the std::map source dictionary.  Results are identical
-  // either way (tests/test_engine.cc proves it); the knob exists for
-  // A/B benching and as a safety hatch.
-  bool use_compiled_fastpath = true;
 };
 
 // Borrowed single-prefix view of one observed update — the zero-copy
@@ -83,10 +78,9 @@ struct UpdateView {
   std::uint64_t ingest_ns = 0;
 };
 
-// One detected provider of an open (not yet closed) blackhole event —
-// the serializable mirror of the engine's internal Detection record,
-// exported by checkpointing (src/recovery/) and re-imported on crash
-// recovery.
+// One detected provider of an open (not yet closed) blackhole event:
+// the engine's own detection record, exported as-is by checkpointing
+// (src/recovery/) and re-imported on crash recovery.
 struct OpenDetection {
   ProviderRef provider;
   Asn user = 0;
@@ -127,16 +121,16 @@ struct EngineStats {
 
 class InferenceEngine {
  public:
+  // Compiles a private copy of `dictionary`.
   InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
                   const topology::Registry& registry,
                   EngineConfig config = {});
 
   // Shares a prebuilt compiled dictionary instead of compiling a
   // private copy — the compiled form is immutable, so N engine shards
-  // over the same dictionary need only one.  `compiled` must be built
-  // from `dictionary` and outlive the engine.
-  InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
-                  const dictionary::CompiledDictionary& compiled,
+  // over the same dictionary need only one.  `compiled` must outlive
+  // the engine.
+  InferenceEngine(const dictionary::CompiledDictionary& compiled,
                   const topology::Registry& registry,
                   EngineConfig config = {});
 
@@ -178,18 +172,11 @@ class InferenceEngine {
   void import_open_state(std::vector<OpenEventState> states);
 
  private:
-  struct Detection {
-    ProviderRef provider;
-    Asn user = 0;
-    DetectionKind kind = DetectionKind::kProviderOnPath;
-    int as_distance = kNoPathDistance;
-  };
-
   struct ActiveState {
     util::SimTime start = 0;
     Platform platform = Platform::kRis;  // platform that opened the event
     bool from_table_dump = false;
-    std::vector<Detection> detections;
+    std::vector<OpenDetection> detections;
     bgp::CommunitySet communities;
   };
 
@@ -213,15 +200,13 @@ class InferenceEngine {
 
   void open_event(Platform platform, const bgp::PeerKey& peer,
                   const net::Prefix& prefix, util::SimTime time,
-                  bool from_dump, const std::vector<Detection>& detections,
+                  bool from_dump, const std::vector<OpenDetection>& detections,
                   const bgp::CommunitySet& communities);
   void close_event(Platform platform, const bgp::PeerKey& peer,
                    const net::Prefix& prefix, util::SimTime time,
                    bool explicit_withdrawal);
 
-  const dictionary::BlackholeDictionary& dictionary_;
-  // Compiled fast-path form: either owned (built by the ctor, left
-  // empty when the fast path is disabled) or shared across shards.
+  // Either owned (compiled by the first ctor) or shared across shards;
   // compiled_ points at whichever is in use.
   dictionary::CompiledDictionary owned_compiled_;
   const dictionary::CompiledDictionary* compiled_;
@@ -229,7 +214,7 @@ class InferenceEngine {
   EngineConfig config_;
   BgpCleaner cleaner_;
   // Reused by detect(); valid until the next detect() call.
-  std::vector<Detection> detect_scratch_;
+  std::vector<OpenDetection> detect_scratch_;
 
   using StateKey = std::pair<bgp::PeerKey, net::Prefix>;
   struct StateKeyHash {

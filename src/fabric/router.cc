@@ -154,8 +154,19 @@ bool FabricRouter::send_append(Lane& ln, std::size_t slot, std::size_t p,
   return true;
 }
 
-bool FabricRouter::read_ack(Lane& ln) {
+bool FabricRouter::read_ack(Lane& ln, std::size_t slot, std::size_t p) {
   auto frame = ln.conn.recv_frame_into(ln.ack_buf);
+  if (frame && frame->type == FrameType::kError) {
+    // A refused APPEND (a malformed or quarantined sub-update, a
+    // history gap) is deterministic: resending would only repeat it.
+    const std::string text(frame->body.begin(), frame->body.end());
+    ln.conn.close();
+    ln.connected = false;
+    throw std::runtime_error("fabric: shard server " +
+                             describe_endpoint(endpoint(placement_[slot])) +
+                             " refused APPEND on slot " + std::to_string(slot) +
+                             " lane " + std::to_string(p) + ": " + text);
+  }
   std::uint64_t accepted = 0, durable = 0;
   if (!frame || frame->type != FrameType::kAppendAck ||
       !parse_append_ack(frame->body, accepted, durable)) {
@@ -169,7 +180,7 @@ bool FabricRouter::read_ack(Lane& ln) {
 }
 
 void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
-  if (!read_ack(ln)) {
+  if (!read_ack(ln, slot, p)) {
     // Connection lost mid-window: reconnect resends the whole
     // un-durable suffix and drains it, leaving unacked == 0.
     ensure_connected(ln, slot, p);
@@ -250,11 +261,11 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
     }
     idx += count;
     while (ln.unacked >= kMaxInflight) {
-      if (!read_ack(ln)) return false;
+      if (!read_ack(ln, slot, p)) return false;
     }
   }
   while (ln.unacked > 0) {
-    if (!read_ack(ln)) return false;
+    if (!read_ack(ln, slot, p)) return false;
   }
   return true;
 }

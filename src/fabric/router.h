@@ -209,8 +209,9 @@ class FabricRouter {
                    std::uint64_t trace_id, std::uint64_t from,
                    std::size_t count);
   // Reads one APPEND_ACK, retiring its frame and pruning the log; false
-  // (lane marked disconnected) when the connection is lost.
-  bool read_ack(Lane& ln);
+  // (lane marked disconnected) when the connection is lost.  Throws,
+  // with the server's text, when the server answers with ERROR.
+  bool read_ack(Lane& ln, std::size_t slot, std::size_t p);
   // read_ack plus RPC timing; reconnects (with replay) on loss.
   void recv_one_ack(Lane& ln, std::size_t slot, std::size_t p);
   void drain_lane(Lane& ln, std::size_t slot, std::size_t p);

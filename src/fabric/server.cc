@@ -145,11 +145,6 @@ void ShardServer::open_slot_session_locked(Slot& s, std::uint32_t id) {
   // must stay off.
   sc.recover = true;
   sc.recover_suffix_feed = true;
-  // The client runs the poison quarantine; admitting everything here
-  // keeps the lane index spaces aligned with what the client sent.
-  sc.max_as_path_hops = std::size_t{1} << 20;
-  sc.max_communities = std::size_t{1} << 20;
-  sc.poison_error_budget = UINT64_MAX;
   // Checkpoints are cut on demand (CHECKPOINT frames).
   sc.checkpoint_every = 0;
   sc.trace = config_.trace;
@@ -304,7 +299,9 @@ bool ShardServer::handle_append(TcpConn& conn, Body body, ConnBuffers& bufs) {
     std::uint64_t index = base + i;
     if (index < s.accepted[producer]) continue;  // replay duplicate
     if (!s.session->push(bufs.sub, producer)) {
-      return send_error(conn, "slot session refused a sub-update");
+      return send_error(conn, "slot session refused sub-update " +
+                                  std::to_string(index) +
+                                  " (quarantined, or the slot is closed)");
     }
     s.accepted[producer] = index + 1;
   }
@@ -335,14 +332,17 @@ bool ShardServer::handle_query(TcpConn& conn, Body body) {
     events = s.session->events();
   }
   net::BufWriter out;
+  const std::size_t start = begin_frame(out, FrameType::kQueryResult);
   out.u32(static_cast<std::uint32_t>(events.size()));
   for (const auto& event : events) {
-    net::BufWriter payload;
-    storage::encode_event_payload(event, payload);
-    out.u32(static_cast<std::uint32_t>(payload.size()));
-    out.bytes(payload.data());
+    const std::size_t len_pos = out.size();
+    out.u32(0);
+    storage::encode_event_payload(event, out);
+    out.patch_u32(len_pos,
+                  static_cast<std::uint32_t>(out.size() - len_pos - 4));
   }
-  return conn.send_frame(FrameType::kQueryResult, out.data());
+  end_frame(out, start);
+  return conn.send_framed(out.data());
 }
 
 bool ShardServer::handle_checkpoint(TcpConn& conn, Body body) {

@@ -16,7 +16,9 @@
 //                  slot's recovered accepted count for their producer.
 //   * APPEND       idempotent by sub-update index: indices below the
 //                  accepted count are replay duplicates and are
-//                  skipped; a gap above it is a protocol error.
+//                  skipped; a gap above it is a protocol error, and a
+//                  sub-update over the slot session's (default)
+//                  quarantine limits is refused with ERROR.
 //   * CHECKPOINT   drain + checkpoint_now on the slot session — the
 //                  drained cut that advances the durable totals.
 //   * QUERY        the slot's full event set, record-codec payloads.

@@ -65,8 +65,7 @@ void encode_event_payload(const core::PeerEvent& event, net::BufWriter& out) {
   out.u8(static_cast<std::uint8_t>(event.platform));
   encode_ip(event.peer.peer_ip, out);
   out.u32(event.peer.peer_asn);
-  encode_ip(event.prefix.addr(), out);
-  out.u8(event.prefix.len());
+  encode_prefix(event.prefix, out);
   out.u8(event.provider.is_ixp ? 1 : 0);
   out.u32(event.provider.asn);
   out.u32(event.provider.ixp_id);
@@ -99,16 +98,9 @@ std::optional<core::PeerEvent> decode_event_payload(net::BufReader& in) {
   if (!peer_ip) return std::nullopt;
   event.peer.peer_ip = *peer_ip;
   event.peer.peer_asn = in.u32();
-  auto prefix_addr = decode_ip(in);
-  if (!prefix_addr) return std::nullopt;
-  std::uint8_t prefix_len = in.u8();
-  if (prefix_len > prefix_addr->max_len()) return std::nullopt;
-  net::Prefix prefix(*prefix_addr, prefix_len);
-  // Non-canonical prefixes (host bits set past the length) never come
-  // from our encoder; reject them so decode(encode(x)) == x is the
-  // ONLY way a record round-trips.
-  if (prefix.addr() != *prefix_addr) return std::nullopt;
-  event.prefix = prefix;
+  auto prefix = decode_prefix(in);
+  if (!prefix) return std::nullopt;
+  event.prefix = *prefix;
   std::uint8_t is_ixp = in.u8();
   if (is_ixp > 1) return std::nullopt;
   event.provider.is_ixp = is_ixp != 0;
@@ -144,9 +136,10 @@ std::optional<core::PeerEvent> decode_event_payload(net::BufReader& in) {
 }
 
 void encode_record(const core::PeerEvent& event, net::BufWriter& out) {
-  net::BufWriter payload;
-  encode_event_payload(event, payload);
-  wire::encode_frame(out, kRecordMagic, kRecordVersion, payload.data());
+  const std::size_t start =
+      wire::begin_frame(out, kRecordMagic, kRecordVersion);
+  encode_event_payload(event, out);
+  wire::end_frame(out, start);
 }
 
 std::optional<core::PeerEvent> decode_record(net::BufReader& in) {

@@ -123,10 +123,10 @@ void SegmentWriter::abandon_active() {
 bool SegmentWriter::append(const core::PeerEvent& event) {
   if (closed_) return false;
   if (!file_ && !open_active()) return false;
-  net::BufWriter record;
-  encode_record(event, record);
-  if (ops_->write(record.data().data(), record.size(), file_) !=
-      record.size()) {
+  record_.clear();
+  encode_record(event, record_);
+  if (ops_->write(record_.data().data(), record_.size(), file_) !=
+      record_.size()) {
     last_errno_ = errno;
     abandon_active();
     return false;
@@ -148,7 +148,7 @@ bool SegmentWriter::append(const core::PeerEvent& event) {
     active_.max_end = std::max(active_.max_end, event.end);
   }
   ++active_.record_count;
-  write_offset_ += record.size();
+  write_offset_ += record_.size();
   ++events_appended_;
   if (block_.records >= config_.index_block_records) {
     active_.index.push_back(block_);

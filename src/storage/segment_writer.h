@@ -133,6 +133,7 @@ class SegmentWriter {
   SegmentMeta active_;           // summary + index of the active segment
   IndexEntry block_;             // index block being accumulated
   std::uint64_t write_offset_ = 0;
+  net::BufWriter record_;  // append()'s frame, reused across records
   // File offset / record count of the last successful sync() of the
   // active segment (0 = nothing acked yet); the offset is always a
   // record boundary, and the count is what an abandon rolls

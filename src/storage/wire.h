@@ -54,15 +54,6 @@ inline void end_frame(net::BufWriter& out, std::size_t start) {
   out.u32(crc);
 }
 
-// Appends one framed payload.
-inline void encode_frame(net::BufWriter& out, std::uint16_t magic,
-                         std::uint8_t version,
-                         std::span<const std::uint8_t> payload) {
-  const std::size_t start = begin_frame(out, magic, version);
-  out.bytes(payload);
-  end_frame(out, start);
-}
-
 // Decodes one frame, advancing `in` past it on success.  Rejects bad
 // magic, versions outside [min_version, max_version], payloads larger
 // than `max_payload` (so a corrupt length field can never drive a

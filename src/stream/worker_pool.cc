@@ -12,9 +12,7 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
                        std::size_t batch_size, bool serialize_producers,
                        BlockPool& blocks, EventStore& store,
                        telemetry::MetricsRegistry& metrics)
-    : compiled_(engine_config.use_compiled_fastpath
-                    ? dictionary::CompiledDictionary(dictionary)
-                    : dictionary::CompiledDictionary()),
+    : compiled_(dictionary),
       num_producers_(num_producers == 0 ? 1 : num_producers),
       drain_batch_(drain_batch == 0 ? 1 : drain_batch),
       batch_size_(batch_size == 0 ? 1 : batch_size),
@@ -48,7 +46,7 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->engine = std::make_unique<core::InferenceEngine>(
-        dictionary, compiled_, registry, engine_config);
+        compiled_, registry, engine_config);
     shard->index = i;
     shard->watermarks.assign(num_producers_, 0);
     shard->batch_hist = &metrics.shard_histogram("stream.worker.batch_ns", i);

@@ -374,93 +374,158 @@ TEST(BgpCleanerTest, KnownBogons) {
   EXPECT_FALSE(cleaner.is_bogus(*net::Prefix::parse("2a00:1::/32")));
 }
 
-// The compiled-dictionary fast path (bitset prefilter + flat-array
-// lookups + in-place path scans) must be a pure optimization: over a
-// workload covering every detection kind, ablation, rejection path,
-// and close mode, the engine's events and stats are byte-identical
-// with the fast path on and off.
-TEST(Engine, FastPathMatchesSlowPath) {
-  for (bool detect_bundled : {true, false}) {
-    for (bool require_evidence : {true, false}) {
-      EngineConfig fast_config, slow_config;
-      fast_config.detect_bundled = slow_config.detect_bundled = detect_bundled;
-      fast_config.require_path_evidence_for_ambiguous =
-          slow_config.require_path_evidence_for_ambiguous = require_evidence;
-      fast_config.use_compiled_fastpath = true;
-      slow_config.use_compiled_fastpath = false;
-      InferenceEngine fast(world().dict, world().registry, fast_config);
-      InferenceEngine slow(world().dict, world().registry, slow_config);
+// A workload covering every detection kind, ablation, rejection path,
+// and close mode.
+std::vector<std::pair<routing::Platform, bgp::ObservedUpdate>>
+golden_workload() {
+  std::vector<std::pair<routing::Platform, bgp::ObservedUpdate>> workload;
+  auto add = [&](routing::Platform p, bgp::ObservedUpdate u) {
+    workload.emplace_back(p, std::move(u));
+  };
+  // Provider on path, with prepending.
+  add(P::kRis, announce("20.0.1.1/32", "198.51.100.1", 200,
+                        {200, 200, 400, 400}, {Community(200, 666)}, 100));
+  // Bundled (provider 300 not on path).
+  add(P::kCdn, announce("20.0.1.2/32", "198.51.100.3", 500, {500, 400},
+                        {Community(300, 666)}, 101));
+  // Ambiguous without path evidence (rejected unless ablated).
+  add(P::kRis, announce("20.0.1.3/32", "198.51.100.1", 500, {500, 400},
+                        {Community(0, 666)}, 102));
+  // Ambiguous with path evidence.
+  add(P::kRis, announce("20.0.1.4/32", "198.51.100.1", 201, {201, 400},
+                        {Community(0, 666)}, 103));
+  // IXP route-server ASN on path.
+  add(P::kPch, announce("20.0.1.5/32", "198.51.100.9", 500, {500, 59000, 400},
+                        {Community::rfc7999_blackhole()}, 104));
+  // IXP peer-ip in LAN (transparent RS).
+  add(P::kPch, announce("20.0.1.6/32", "185.1.0.23", 400, {400},
+                        {Community::rfc7999_blackhole()}, 105));
+  // IXP community without evidence (ixp_rejected).
+  add(P::kCdn, announce("20.0.1.7/32", "198.51.100.4", 500, {500, 400},
+                        {Community::rfc7999_blackhole()}, 106));
+  // Large community.
+  {
+    auto u = announce("20.0.1.8/32", "198.51.100.1", 200, {200, 400}, {}, 107);
+    u.body.communities.add(bgp::LargeCommunity(200, 666, 0));
+    add(P::kRis, u);
+  }
+  // Unknown large community (negative).
+  {
+    auto u = announce("20.0.1.9/32", "198.51.100.1", 200, {200, 400}, {}, 108);
+    u.body.communities.add(bgp::LargeCommunity(999, 1, 2));
+    add(P::kRis, u);
+  }
+  // Tag-less noise: service community sharing the 666 value half
+  // (prefilter false positive), plain service community, and no
+  // communities at all.
+  add(P::kRis, announce("20.0.2.1/32", "198.51.100.1", 200, {200, 400},
+                        {Community(999, 666)}, 109));
+  add(P::kRis, announce("20.0.2.2/32", "198.51.100.1", 200, {200, 400},
+                        {Community(200, 120)}, 110));
+  add(P::kRis,
+      announce("20.0.2.3/32", "198.51.100.1", 200, {200, 400}, {}, 111));
+  // Bogon (filtered).
+  add(P::kRis, announce("10.1.2.3/32", "198.51.100.1", 200, {200, 400},
+                        {Community(200, 666)}, 112));
+  // Implicit withdrawal (tag-less re-announcement) + explicit one.
+  add(P::kRis, announce("20.0.1.1/32", "198.51.100.1", 200, {200, 400},
+                        {Community(200, 120)}, 120));
+  add(P::kCdn, withdraw("20.0.1.2/32", "198.51.100.3", 500, 121));
+  // Multi-provider bundle.
+  add(P::kRis, announce("20.0.1.10/32", "198.51.100.1", 200, {200, 400},
+                        {Community(200, 666), Community(300, 666)}, 122));
+  return workload;
+}
 
-      std::vector<std::pair<routing::Platform, bgp::ObservedUpdate>> workload;
-      auto add = [&](routing::Platform p, bgp::ObservedUpdate u) {
-        workload.emplace_back(p, std::move(u));
-      };
-      // Provider on path, with prepending.
-      add(P::kRis, announce("20.0.1.1/32", "198.51.100.1", 200,
-                            {200, 200, 400, 400}, {Community(200, 666)}, 100));
-      // Bundled (provider 300 not on path).
-      add(P::kCdn, announce("20.0.1.2/32", "198.51.100.3", 500, {500, 400},
-                            {Community(300, 666)}, 101));
-      // Ambiguous without path evidence (rejected unless ablated).
-      add(P::kRis, announce("20.0.1.3/32", "198.51.100.1", 500, {500, 400},
-                            {Community(0, 666)}, 102));
-      // Ambiguous with path evidence.
-      add(P::kRis, announce("20.0.1.4/32", "198.51.100.1", 201, {201, 400},
-                            {Community(0, 666)}, 103));
-      // IXP route-server ASN on path.
-      add(P::kPch, announce("20.0.1.5/32", "198.51.100.9", 500,
-                            {500, 59000, 400},
-                            {Community::rfc7999_blackhole()}, 104));
-      // IXP peer-ip in LAN (transparent RS).
-      add(P::kPch, announce("20.0.1.6/32", "185.1.0.23", 400, {400},
-                            {Community::rfc7999_blackhole()}, 105));
-      // IXP community without evidence (ixp_rejected).
-      add(P::kCdn, announce("20.0.1.7/32", "198.51.100.4", 500, {500, 400},
-                            {Community::rfc7999_blackhole()}, 106));
-      // Large community.
-      {
-        auto u = announce("20.0.1.8/32", "198.51.100.1", 200, {200, 400}, {},
-                          107);
-        u.body.communities.add(bgp::LargeCommunity(200, 666, 0));
-        add(P::kRis, u);
-      }
-      // Unknown large community (negative).
-      {
-        auto u = announce("20.0.1.9/32", "198.51.100.1", 200, {200, 400}, {},
-                          108);
-        u.body.communities.add(bgp::LargeCommunity(999, 1, 2));
-        add(P::kRis, u);
-      }
-      // Tag-less noise: service community sharing the 666 value half
-      // (prefilter false positive), plain service community, and no
-      // communities at all.
-      add(P::kRis, announce("20.0.2.1/32", "198.51.100.1", 200, {200, 400},
-                            {Community(999, 666)}, 109));
-      add(P::kRis, announce("20.0.2.2/32", "198.51.100.1", 200, {200, 400},
-                            {Community(200, 120)}, 110));
-      add(P::kRis, announce("20.0.2.3/32", "198.51.100.1", 200, {200, 400}, {},
-                            111));
-      // Bogon (filtered).
-      add(P::kRis, announce("10.1.2.3/32", "198.51.100.1", 200, {200, 400},
-                            {Community(200, 666)}, 112));
-      // Implicit withdrawal (tag-less re-announcement) + explicit one.
-      add(P::kRis, announce("20.0.1.1/32", "198.51.100.1", 200, {200, 400},
-                            {Community(200, 120)}, 120));
-      add(P::kCdn, withdraw("20.0.1.2/32", "198.51.100.3", 500, 121));
-      // Multi-provider bundle.
-      add(P::kRis, announce("20.0.1.10/32", "198.51.100.1", 200, {200, 400},
-                            {Community(200, 666), Community(300, 666)}, 122));
+// One line per closed event, then one line of stats.
+std::string describe_run(const InferenceEngine& engine) {
+  std::string out;
+  for (const PeerEvent& e : engine.events()) {
+    out += routing::to_string(e.platform) + " " + e.peer.peer_ip.to_string() +
+           " AS" + std::to_string(e.peer.peer_asn) + " " +
+           e.prefix.to_string() + " " + e.provider.to_string() +
+           " user=" + std::to_string(e.user) + " " + to_string(e.kind) +
+           " d=" + std::to_string(e.as_distance) + " [" +
+           std::to_string(e.start) + "," + std::to_string(e.end) + "]" +
+           (e.open ? " open" : "") +
+           (e.explicit_withdrawal ? " explicit" : "") +
+           (e.started_in_table_dump ? " dump" : "") + " {" +
+           e.communities.to_string() + "}\n";
+  }
+  const EngineStats& s = engine.stats();
+  out += "updates=" + std::to_string(s.updates_processed) +
+         " ann=" + std::to_string(s.announcements_seen) +
+         " wd=" + std::to_string(s.withdrawals_seen) +
+         " bogons=" + std::to_string(s.bogons_filtered) +
+         " opened=" + std::to_string(s.events_opened) +
+         " explicit=" + std::to_string(s.events_closed_explicit) +
+         " implicit=" + std::to_string(s.events_closed_implicit) +
+         " ambiguous_rejected=" + std::to_string(s.ambiguous_rejected) +
+         " ixp_rejected=" + std::to_string(s.ixp_rejected) + "\n";
+  return out;
+}
 
-      for (const auto& [p, u] : workload) {
-        fast.process(p, u);
-        slow.process(p, u);
-      }
-      fast.finish(1000);
-      slow.finish(1000);
-      EXPECT_EQ(fast.events(), slow.events());
-      EXPECT_EQ(fast.stats(), slow.stats());
-      EXPECT_FALSE(fast.events().empty());
-    }
+// The engine's events and stats over golden_workload(), pinned for
+// every detect_bundled x require_path_evidence_for_ambiguous cell.  The
+// expected text was captured when the engine still carried a second,
+// std::map-backed detection plane, from a run where both planes agreed.
+TEST(Engine, GoldenEventsAcrossAblations) {
+  struct Cell {
+    bool detect_bundled;
+    bool require_evidence;
+    const char* expect;
+  };
+  const Cell cells[] = {
+      {true, true, R"(RIS 198.51.100.1 AS200 20.0.1.1/32 AS200 user=400 provider-on-path d=1 [100,120] {200:666}
+CDN 198.51.100.3 AS500 20.0.1.2/32 AS300 user=400 bundled d=-1 [101,121] explicit {300:666}
+PCH 185.1.0.23 AS400 20.0.1.6/32 IXP#0 user=400 ixp-peer-ip d=0 [105,1000] {65535:666}
+RIS 198.51.100.1 AS200 20.0.1.8/32 AS200 user=400 provider-on-path d=1 [107,1000] {200:666:0}
+RIS 198.51.100.1 AS200 20.0.1.10/32 AS200 user=400 provider-on-path d=1 [122,1000] {200:666 300:666}
+RIS 198.51.100.1 AS200 20.0.1.10/32 AS300 user=400 bundled d=-1 [122,1000] {200:666 300:666}
+RIS 198.51.100.1 AS201 20.0.1.4/32 AS201 user=400 provider-on-path d=1 [103,1000] {0:666}
+PCH 198.51.100.9 AS500 20.0.1.5/32 IXP#0 user=400 ixp-route-server d=1 [104,1000] {65535:666}
+updates=16 ann=15 wd=1 bogons=1 opened=7 explicit=1 implicit=6 ambiguous_rejected=1 ixp_rejected=1
+)"},
+      {true, false, R"(RIS 198.51.100.1 AS200 20.0.1.1/32 AS200 user=400 provider-on-path d=1 [100,120] {200:666}
+CDN 198.51.100.3 AS500 20.0.1.2/32 AS300 user=400 bundled d=-1 [101,121] explicit {300:666}
+PCH 185.1.0.23 AS400 20.0.1.6/32 IXP#0 user=400 ixp-peer-ip d=0 [105,1000] {65535:666}
+RIS 198.51.100.1 AS200 20.0.1.8/32 AS200 user=400 provider-on-path d=1 [107,1000] {200:666:0}
+RIS 198.51.100.1 AS200 20.0.1.10/32 AS200 user=400 provider-on-path d=1 [122,1000] {200:666 300:666}
+RIS 198.51.100.1 AS200 20.0.1.10/32 AS300 user=400 bundled d=-1 [122,1000] {200:666 300:666}
+RIS 198.51.100.1 AS201 20.0.1.4/32 AS201 user=400 provider-on-path d=1 [103,1000] {0:666}
+RIS 198.51.100.1 AS201 20.0.1.4/32 AS202 user=400 bundled d=-1 [103,1000] {0:666}
+RIS 198.51.100.1 AS500 20.0.1.3/32 AS201 user=400 bundled d=-1 [102,1000] {0:666}
+RIS 198.51.100.1 AS500 20.0.1.3/32 AS202 user=400 bundled d=-1 [102,1000] {0:666}
+PCH 198.51.100.9 AS500 20.0.1.5/32 IXP#0 user=400 ixp-route-server d=1 [104,1000] {65535:666}
+updates=16 ann=15 wd=1 bogons=1 opened=8 explicit=1 implicit=7 ambiguous_rejected=0 ixp_rejected=1
+)"},
+      {false, true, R"(RIS 198.51.100.1 AS200 20.0.1.1/32 AS200 user=400 provider-on-path d=1 [100,120] {200:666}
+PCH 185.1.0.23 AS400 20.0.1.6/32 IXP#0 user=400 ixp-peer-ip d=0 [105,1000] {65535:666}
+RIS 198.51.100.1 AS200 20.0.1.8/32 AS200 user=400 provider-on-path d=1 [107,1000] {200:666:0}
+RIS 198.51.100.1 AS200 20.0.1.10/32 AS200 user=400 provider-on-path d=1 [122,1000] {200:666 300:666}
+RIS 198.51.100.1 AS201 20.0.1.4/32 AS201 user=400 provider-on-path d=1 [103,1000] {0:666}
+PCH 198.51.100.9 AS500 20.0.1.5/32 IXP#0 user=400 ixp-route-server d=1 [104,1000] {65535:666}
+updates=16 ann=15 wd=1 bogons=1 opened=6 explicit=0 implicit=6 ambiguous_rejected=1 ixp_rejected=1
+)"},
+      {false, false, R"(RIS 198.51.100.1 AS200 20.0.1.1/32 AS200 user=400 provider-on-path d=1 [100,120] {200:666}
+PCH 185.1.0.23 AS400 20.0.1.6/32 IXP#0 user=400 ixp-peer-ip d=0 [105,1000] {65535:666}
+RIS 198.51.100.1 AS200 20.0.1.8/32 AS200 user=400 provider-on-path d=1 [107,1000] {200:666:0}
+RIS 198.51.100.1 AS200 20.0.1.10/32 AS200 user=400 provider-on-path d=1 [122,1000] {200:666 300:666}
+RIS 198.51.100.1 AS201 20.0.1.4/32 AS201 user=400 provider-on-path d=1 [103,1000] {0:666}
+PCH 198.51.100.9 AS500 20.0.1.5/32 IXP#0 user=400 ixp-route-server d=1 [104,1000] {65535:666}
+updates=16 ann=15 wd=1 bogons=1 opened=6 explicit=0 implicit=6 ambiguous_rejected=0 ixp_rejected=1
+)"},
+  };
+  for (const Cell& cell : cells) {
+    EngineConfig config;
+    config.detect_bundled = cell.detect_bundled;
+    config.require_path_evidence_for_ambiguous = cell.require_evidence;
+    InferenceEngine engine(world().dict, world().registry, config);
+    for (const auto& [p, u] : golden_workload()) engine.process(p, u);
+    engine.finish(1000);
+    EXPECT_EQ(describe_run(engine), cell.expect)
+        << "detect_bundled=" << cell.detect_bundled
+        << " require_evidence=" << cell.require_evidence;
   }
 }
 

@@ -229,7 +229,9 @@ TEST(WireVersion, NegotiationPicksHighestCommonVersion) {
 TEST(WireVersion, DecodeRejectsVersionOutsideReadableRange) {
   const std::vector<std::uint8_t> payload = {0xAA, 0xBB, 0xCC};
   net::BufWriter frame;
-  storage::wire::encode_frame(frame, 0x1234, 3, payload);
+  const std::size_t start = storage::wire::begin_frame(frame, 0x1234, 3);
+  frame.bytes(payload);
+  storage::wire::end_frame(frame, start);
   {
     net::BufReader r(frame.data());
     auto decoded = storage::wire::decode_frame(r, 0x1234, 1, 4, 1 << 16);
@@ -420,6 +422,57 @@ TEST(FabricRouterHello, RefusedHelloFailsAtOnceWithServerText) {
   EXPECT_EQ(accepts.load(), 2);
 }
 
+// A server that acks HELLO but answers APPEND with ERROR: the refusal
+// is deterministic, so the lane must fail at once with the server's
+// text, not redial through its reconnect budget.
+TEST(FabricRouterAppend, RefusedAppendFailsAtOnceWithServerText) {
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.has_value());
+  std::atomic<int> accepts{0};
+  std::thread server([&] {
+    while (auto conn = listener->accept()) {
+      accepts.fetch_add(1);
+      if (!conn->recv_frame()) continue;  // HELLO
+      net::BufWriter ack;
+      ack.u8(kFabricVersion);
+      ack.u64(0);  // nothing accepted yet
+      conn->send_frame(FrameType::kHelloAck, ack.data());
+      if (conn->recv_frame()) {  // APPEND
+        const std::string text = "test server refuses every append";
+        conn->send_frame(
+            FrameType::kError,
+            std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                      text.size()));
+      }
+    }
+  });
+  FabricConfig config;
+  config.endpoints = {FabricEndpoint{"127.0.0.1", listener->port()}};
+  config.reconnect.max_attempts = 3;
+  config.reconnect.base_delay = std::chrono::milliseconds(1);
+  config.reconnect.max_delay = std::chrono::milliseconds(1);
+  {
+    FabricRouter router(config, /*num_slots=*/1, /*num_producers=*/1,
+                        nullptr);
+    FeedUpdate update;
+    update.update.peer_ip = *net::IpAddr::parse("198.51.100.1");
+    update.update.peer_asn = 200;
+    update.update.body.announced.push_back(*net::Prefix::parse("20.0.1.1/32"));
+    ASSERT_TRUE(router.push(0, update));
+    try {
+      router.flush(0);
+      ADD_FAILURE() << "flush() through a refused APPEND did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("test server refuses every append"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  listener->shutdown();
+  server.join();
+  EXPECT_EQ(accepts.load(), 1);
+}
+
 // ---- fabric-client session contract -----------------------------------
 
 // The AnalysisSession surface of a fabric client, pinned without a
@@ -534,6 +587,107 @@ TEST(SharedStudy, OneServerHostsEverySlotOnSharedSubstrates) {
     EXPECT_TRUE(session.events() == sequential)
         << "slots on shared substrates diverged from the sequential engine";
     EXPECT_EQ(server.slots_hosted(), 4u);
+  }
+  server.stop();
+  fs::remove_all(dir);
+}
+
+// Slot sessions run the default quarantine, so a client configured
+// above it is refused by the server: at once, with the server's text.
+TEST(SlotQuarantine, ClientAboveServerLimitsIsRefusedAtOnce) {
+  std::string dir = temp_dir("bgpbh_fabric_slot_quarantine");
+  ShardServerConfig server_config;
+  server_config.dir = dir;
+  server_config.study = study_config();
+  ShardServer server(server_config);
+  {
+    api::SessionConfig config;
+    config.mode = api::SessionConfig::Mode::kLiveFeed;
+    config.study = study_config();
+    config.num_shards = 1;
+    config.max_communities = 8192;
+    config.fabric.endpoints = {FabricEndpoint{"127.0.0.1", server.port()}};
+    api::AnalysisSession session(config);
+    FeedUpdate update;
+    update.update.peer_ip = *net::IpAddr::parse("198.51.100.1");
+    update.update.peer_asn = 200;
+    update.update.body.announced.push_back(*net::Prefix::parse("20.0.1.1/32"));
+    update.update.body.as_path = bgp::AsPath::of({200, 400});
+    for (std::uint32_t i = 0; i < 5000; ++i) {
+      update.update.body.communities.add(
+          bgp::Community(static_cast<std::uint16_t>(64500 + i / 1000),
+                         static_cast<std::uint16_t>(i % 1000)));
+    }
+    ASSERT_TRUE(session.push(update, 0)) << "the client's own limit admits it";
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      session.flush(0);
+      ADD_FAILURE() << "a server over its quarantine limits accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("refused sub-update 0"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  }
+  server.stop();
+  fs::remove_all(dir);
+}
+
+// A 300-hop path needs two AS_SEQUENCE segments on the wire: a
+// blackhole announcement carrying one must reach its slot and close
+// the sequential engine's events.
+TEST(FabricLongPath, LongPathBlackholeMatchesSequentialEngine) {
+  const Baseline& base = baseline();
+  std::vector<FeedUpdate> updates(
+      base.updates.begin(),
+      base.updates.begin() +
+          static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+              2000, base.updates.size())));
+  core::Study study(study_config());
+  // Prepend the peer AS until the first event-opening announcement
+  // with a path is 300 hops long.
+  bool lengthened = false;
+  {
+    core::InferenceEngine probe(study.dictionary(), study.registry(),
+                                study_config().engine);
+    for (auto& u : updates) {
+      const std::uint64_t opened = probe.stats().events_opened;
+      probe.process(u.platform, u.update);
+      bgp::AsPath& path = u.update.body.as_path;
+      if (probe.stats().events_opened == opened || path.empty()) continue;
+      path.prepend(path.first(), 300 - path.length());
+      lengthened = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(lengthened);
+
+  core::InferenceEngine engine(study.dictionary(), study.registry(),
+                               study_config().engine);
+  for (const auto& u : updates) engine.process(u.platform, u.update);
+  engine.finish(study_config().window_end);
+  std::vector<PeerEvent> sequential = engine.events();
+  core::canonical_sort(sequential);
+  ASSERT_FALSE(sequential.empty());
+
+  std::string dir = temp_dir("bgpbh_fabric_long_path");
+  ShardServerConfig server_config;
+  server_config.dir = dir;
+  server_config.study = study_config();
+  ShardServer server(server_config);
+  {
+    api::SessionConfig config;
+    config.mode = api::SessionConfig::Mode::kLiveFeed;
+    config.study = study_config();
+    config.num_shards = 2;
+    config.fabric.endpoints = {FabricEndpoint{"127.0.0.1", server.port()}};
+    api::AnalysisSession session(config);
+    for (const auto& u : updates) ASSERT_TRUE(session.push(u, 0));
+    session.flush(0);
+    session.close(study_config().window_end);
+    EXPECT_TRUE(session.events() == sequential)
+        << "the long-path announcement diverged from the sequential engine";
   }
   server.stop();
   fs::remove_all(dir);

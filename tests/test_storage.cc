@@ -131,6 +131,66 @@ TEST_F(StorageTest, RecordRejectsCorruptionAndTruncation) {
   }
 }
 
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// One event per record shape: IPv4, IPv6, and large communities.
+std::vector<std::pair<const char*, PeerEvent>> golden_events() {
+  std::vector<std::pair<const char*, PeerEvent>> cases;
+  cases.emplace_back("v4", make_event(1, 1000, 1050));
+  PeerEvent v6 = make_event(2, -50, 100);
+  v6.peer.peer_ip = *net::IpAddr::parse("2001:db8::42");
+  v6.prefix = *net::Prefix::parse("2a00:1:2::/48");
+  v6.open = true;
+  cases.emplace_back("v6", v6);
+  PeerEvent large = make_event(4, 7000, 9000);  // carries one already
+  large.communities.add(bgp::LargeCommunity(4200000000u, 1, 2));
+  cases.emplace_back("large communities", large);
+  return cases;
+}
+
+// Record bytes pinned: the on-disk segment format and the fabric QUERY
+// payload must not drift, however the encoder builds them.
+TEST_F(StorageTest, RecordGoldenBytes) {
+  const std::vector<std::string> expect = {
+      "eb1c010000003b0104c6336401000000650414000001200000000bb900000000"
+      "0000fbf5010000000100000000000003e8000000000000041a0000010bb9029a"
+      "0000f3108403",
+      "eb1c0100000053020620010db800000000000000000000004200000066062a00"
+      "0001000200000000000000000000300000000bba000000000000fbf602000000"
+      "02ffffffffffffffce00000000000000640300010bba029a0000f880817b",
+      "eb1c01000000530004c6336404000000680414000004200000000bbc00000000"
+      "0000fbf800000000040000000000001b5800000000000023280200010bbc029a"
+      "00020000fbf80000029a00000004fa56ea000000000100000002d2ce3999",
+  };
+  const auto cases = golden_events();
+  ASSERT_EQ(cases.size(), expect.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [name, event] = cases[i];
+    net::BufWriter w;
+    encode_record(event, w);
+    EXPECT_EQ(hex(w.data()), expect[i]) << name;
+    // Appending after existing bytes frames the record in place.
+    net::BufWriter after;
+    after.u8(0xEE);
+    encode_record(event, after);
+    EXPECT_EQ(hex(after.data()), "ee" + expect[i]) << name;
+    // The payload alone is the record minus its 7-byte header and CRC.
+    net::BufWriter payload;
+    encode_event_payload(event, payload);
+    EXPECT_EQ(hex(payload.data()),
+              expect[i].substr(14, expect[i].size() - 14 - 8))
+        << name;
+  }
+}
+
 // ---- segment writer / reader ------------------------------------------
 
 TEST_F(StorageTest, WriteReopenRoundTripsEventSetBytewise) {

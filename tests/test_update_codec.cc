@@ -45,6 +45,33 @@ TEST(UpdateCodec, RoundTripMessage) {
   EXPECT_EQ(*decoded, body);
 }
 
+// The AS_SEQUENCE segment count is one octet: a path longer than 255
+// hops is split into several segments and decodes back whole.  255 is
+// the last length that fits one segment; 1024 is the quarantine's
+// default path limit.
+TEST(UpdateCodec, LongAsPathsRoundTripAcrossSegments) {
+  for (std::size_t hops : {255u, 256u, 300u, 1024u}) {
+    UpdateBody body = sample_body();
+    std::vector<Asn> path;
+    for (std::size_t i = 0; i < hops; ++i) {
+      path.push_back(static_cast<Asn>(64500 + i % 7));
+    }
+    body.as_path = AsPath(std::move(path));
+    net::BufWriter w;
+    encode_update_body(body, w);
+    net::BufReader r(w.data());
+    auto decoded = decode_update_body(r);
+    ASSERT_TRUE(decoded) << hops << " hops";
+    EXPECT_EQ(*decoded, body) << hops << " hops";
+    net::BufWriter m;
+    encode_update_message(body, m);
+    net::BufReader mr(m.data());
+    auto message = decode_update_message(mr);
+    ASSERT_TRUE(message) << hops << " hops";
+    EXPECT_EQ(*message, body) << hops << " hops";
+  }
+}
+
 TEST(UpdateCodec, WithdrawalOnly) {
   UpdateBody body;
   body.withdrawn.push_back(P("130.149.1.1/32"));
